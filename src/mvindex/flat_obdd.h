@@ -219,8 +219,8 @@ class FlatObdd {
   FlatId lo(FlatId id) const { return edges_[static_cast<size_t>(id)].lo; }
   FlatId hi(FlatId id) const { return edges_[static_cast<size_t>(id)].hi; }
 
-  /// Raw SoA array bases, for software prefetch in the online sweep and for
-  /// the persistent-index writer (read-only; indexed by non-sink FlatId).
+  /// Raw SoA array bases, for the persistent-index writer (read-only;
+  /// indexed by non-sink FlatId).
   const int32_t* levels_data() const { return levels_; }
   const FlatEdges* edges_data() const { return edges_; }
   const ScaledDouble* prob_under_data() const { return prob_under_; }

@@ -1,6 +1,7 @@
 #include "mvindex/mv_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <span>
 #include <string>
@@ -754,12 +755,20 @@ void MvIndex::FastForward(int32_t q_first_level, ScaledDouble* prefix,
   *start = lo < blocks_.size() ? blocks_[lo].chain_root : kFlatTrue;
 }
 
-ScaledDouble MvIndex::SuffixAfterNode(FlatId u) const {
-  if (blocks_.empty()) return ScaledDouble::One();
-  // Last block whose chain entry is at or before u — blocks tile [0, N)
-  // contiguously in flat order, so this is u's containing block.
-  size_t lo = 0;
+size_t MvIndex::BlockOf(FlatId u, size_t from) const {
+  // Invariant: blocks_[lo].chain_root <= u (or lo == from == 0), and
+  // hi == blocks_.size() or blocks_[hi].chain_root > u.
+  size_t lo = from;
   size_t hi = blocks_.size();
+  if (from > 0) {
+    for (size_t step = 1; from + step < blocks_.size(); step <<= 1) {
+      if (blocks_[from + step].chain_root > u) {
+        hi = from + step;
+        break;
+      }
+      lo = from + step;
+    }
+  }
   while (lo + 1 < hi) {
     const size_t mid = lo + (hi - lo) / 2;
     if (blocks_[mid].chain_root <= u) {
@@ -768,7 +777,7 @@ ScaledDouble MvIndex::SuffixAfterNode(FlatId u) const {
       hi = mid;
     }
   }
-  return block_suffix_[lo + 1];
+  return lo;
 }
 
 double MvIndex::ProbQ(const BddManager& qmgr, NodeId q,
@@ -810,11 +819,13 @@ ScaledDouble MvIndex::MVIntersectScaled(NodeId q_root) const {
   // Recursive lambda over (query node, W-chain flat node).
   auto rec = [&](auto&& self, NodeId q, FlatId u) -> ScaledDouble {
     if (q == BddManager::kFalse || u == kFlatFalse) return ScaledDouble::Zero();
+    // The chain's end first: past it no block factor is left to pay (the
+    // sweep's emit tests its sinks in the same order).
+    if (u == kFlatTrue) return ScaledDouble(ProbQ(*mgr_, q, &qmemo));
     if (q == BddManager::kTrue) {
       // Block-local annotation: pay the rest-of-chain product here.
       return flat_->prob_under_scaled(u) * SuffixAfterNode(u);
     }
-    if (u == kFlatTrue) return ScaledDouble(ProbQ(*mgr_, q, &qmemo));
     const uint64_t key = PairKey(q, u);
     auto it = memo.find(key);
     if (it != memo.end()) return it->second;
@@ -878,9 +889,19 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
 
   auto& buckets = scratch->buckets;
   if (buckets.size() < flat_->size()) buckets.resize(flat_->size());
-  scratch->touched.clear();
+  auto& occupied = scratch->occupied;
+  if (occupied.size() * 64 < flat_->size()) {
+    occupied.resize((flat_->size() + 63) / 64, 0);
+  }
   size_t pending = 0;
   FlatId first = static_cast<FlatId>(flat_->size());
+  // Appends to a flat node's bucket; the first entry marks it occupied.
+  auto push = [&](FlatId u, const CcSweepScratch::Entry& e) {
+    const size_t at = static_cast<size_t>(u);
+    if (buckets[at].empty()) occupied[at >> 6] |= uint64_t{1} << (at & 63);
+    buckets[at].push_back(e);
+    ++pending;
+  };
 
   for (size_t i = 0; i < n; ++i) {
     const BddManager& qmgr = *queries[i].mgr;
@@ -901,10 +922,7 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
     if (start == kFlatFalse) continue;  // stays Zero
     st.prefix = prefix;
     st.active = true;
-    auto& b = buckets[static_cast<size_t>(start)];
-    if (b.empty()) scratch->touched.push_back(start);
-    b.push_back({static_cast<uint32_t>(i), q_root, ScaledDouble::One()});
-    ++pending;
+    push(start, {static_cast<uint32_t>(i), q_root, ScaledDouble::One()});
     first = std::min(first, start);
   }
 
@@ -912,60 +930,60 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
   if (per_item.size() < n) per_item.resize(n);
   std::vector<uint32_t> items_here;  // roots with entries at this flat node
   std::vector<ScaledDouble> credits;  // fast-walk sink credits, in add order
-
-  // Hoisted bases for the sweep: the outer bucket vector is never resized
-  // inside the loop (emit only appends to existing buckets), and the flat
-  // SoA arrays are immutable, so raw pointers are safe to cache and cheap
-  // to software-prefetch a few nodes ahead of the scan.
   const bool fast = use_fast_intersect_;
   const FlatId fsize = static_cast<FlatId>(flat_->size());
-  const int32_t* const flat_levels = flat_->levels_data();
-  const FlatEdges* const flat_edges = flat_->edges_data();
-  const ScaledDouble* const flat_under = flat_->prob_under_data();
-  const auto* const bucket_base = buckets.data();
 
   // Annotations are block-local, so every sink credit multiplies the
-  // remaining-chain product back in. The sweep visits nodes in ascending
-  // flat order and blocks tile [0, N) contiguously, so the containing
-  // block advances monotonically with u — O(1) amortized, no per-credit
-  // search. Credits target either the current node u, an in-block
-  // successor, or the next block's chain root; the ternary in emit picks
-  // between the two precomputed suffix products accordingly.
+  // remaining-chain product back in. Credits target either the current node
+  // u, an in-block successor, or the next block's chain root; the ternary in
+  // emit picks between the two suffix products of u's block. The sweep
+  // visits nodes in ascending flat order and blocks tile [0, N)
+  // contiguously, so u's block only moves forward: the first visit
+  // binary-searches it, a later visit past the block's end gallops from the
+  // current one.
   const size_t num_blocks = blocks_.size();
   size_t cur_block = 0;
+  FlatId cur_block_end = num_blocks > 0 ? 0 : fsize;  // 0: search at visit 1
+  ScaledDouble sfx_here = ScaledDouble::One();
+  ScaledDouble sfx_next = ScaledDouble::One();
 
   // One forward sweep over the level-sorted node vector: edges only point
   // forward, so a single pass from the earliest entry visits every
-  // reachable (root, flat node) pairing for every root in the batch.
-  for (FlatId u = first; pending > 0 && u < fsize; ++u) {
-    if (fast && u + 8 < fsize) {
-      // The sweep's access pattern is a strided forward scan with
-      // unpredictable bucket occupancy; prefetch the upcoming bucket
-      // headers and SoA entries so the occupancy test and level read
-      // don't stall the walk.
-      __builtin_prefetch(&bucket_base[u + 8]);
-      __builtin_prefetch(&flat_levels[u + 8]);
-      __builtin_prefetch(&flat_edges[u + 8]);
-      __builtin_prefetch(&flat_under[u + 8]);
+  // reachable (root, flat node) pairing for every root in the batch. The
+  // occupancy bitmap drives it: the next node to visit is the lowest set
+  // bit at or after the current word, found with count-trailing-zeros, so
+  // the gaps between occupied buckets cost one word read per 64 nodes.
+  // Every bit below the visited node is already clear (visits clear their
+  // own, and emits only target later nodes), so no word needs masking, and
+  // the bitmap is all zero again once nothing is pending.
+  size_t word = static_cast<size_t>(first) >> 6;
+  size_t visited = 0;
+  size_t words_read = 0;
+  while (pending > 0) {
+    uint64_t bits = occupied[word];
+    ++words_read;
+    while (bits == 0) {
+      bits = occupied[++word];
+      ++words_read;
     }
+    occupied[word] = bits & (bits - 1);
+    const FlatId u = static_cast<FlatId>(
+        word * 64 + static_cast<size_t>(std::countr_zero(bits)));
+    ++visited;
     auto& bucket = buckets[static_cast<size_t>(u)];
-    if (bucket.empty()) continue;
     pending -= bucket.size();
     const int32_t lu = flat_->level(u);
     const double pu = flat_->prob_at_level(lu);
-    while (cur_block + 1 < num_blocks &&
-           u >= blocks_[cur_block + 1].chain_root) {
-      ++cur_block;
+    if (u >= cur_block_end) {
+      cur_block = BlockOf(u, cur_block);
+      cur_block_end = cur_block + 1 < num_blocks
+                          ? blocks_[cur_block + 1].chain_root
+                          : fsize;
+      sfx_here = block_suffix_[cur_block + 1];
+      sfx_next = cur_block + 2 < block_suffix_.size()
+                     ? block_suffix_[cur_block + 2]
+                     : ScaledDouble::One();
     }
-    const FlatId cur_block_end = cur_block + 1 < num_blocks
-                                     ? blocks_[cur_block + 1].chain_root
-                                     : fsize;
-    const ScaledDouble sfx_here = num_blocks > 0 ? block_suffix_[cur_block + 1]
-                                                 : ScaledDouble::One();
-    const ScaledDouble sfx_next = cur_block + 2 < block_suffix_.size()
-                                      ? block_suffix_[cur_block + 2]
-                                      : ScaledDouble::One();
-
     // Distribute the root-tagged entries to per-root lists. push_back keeps
     // each root's entry order identical to its solo-sweep bucket order.
     items_here.clear();
@@ -992,10 +1010,7 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
                       (next_u < cur_block_end ? sfx_here : sfx_next);
           return;
         }
-        auto& b = buckets[static_cast<size_t>(next_u)];
-        if (b.empty()) scratch->touched.push_back(next_u);
-        b.push_back({item, next_q, w});
-        ++pending;
+        push(next_u, {item, next_q, w});
       };
 
       // Fast walk: a single-entry bucket (the common case — most queries
@@ -1113,8 +1128,8 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
       }
     }
   }
-  for (FlatId t : scratch->touched) buckets[static_cast<size_t>(t)].clear();
-  scratch->touched.clear();
+  scratch->nodes_visited = visited;
+  scratch->words_read = words_read;
   for (size_t i = 0; i < n; ++i) {
     if (items[i].active) (*out)[i] = items[i].prefix * items[i].total;
   }

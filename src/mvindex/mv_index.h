@@ -48,11 +48,19 @@ struct CcQuery {
 };
 
 /// Reusable per-thread scratch for the CC sweep: the per-flat-node weight
-/// buckets of the forward pass. Contents are cleared (capacity kept)
-/// between calls; treat as opaque.
+/// buckets of the forward pass and a bitmap of the buckets that hold
+/// entries. Both are empty again when a call returns (capacity kept); treat
+/// as opaque apart from the work counters of the last call.
 class CcSweepScratch {
  public:
   CcSweepScratch() = default;
+
+  /// Flat nodes the last sweep visited: exactly the buckets it filled.
+  size_t last_nodes_visited() const { return nodes_visited; }
+  /// 64-bit occupancy words the last sweep read to find those nodes. At
+  /// most nodes visited + ceil(span / 64), where span is the flat distance
+  /// from the first to the last visited node — never the chain length.
+  size_t last_words_read() const { return words_read; }
 
  private:
   friend class MvIndex;
@@ -62,10 +70,13 @@ class CcSweepScratch {
     ScaledDouble w;  ///< accumulated path weight
   };
   std::vector<std::vector<Entry>> buckets;
-  std::vector<FlatId> touched;
+  /// Bit u is set while bucket u holds entries the sweep has not visited.
+  std::vector<uint64_t> occupied;
   /// Per-item distribution lists reused across flat nodes (keeps the batch
   /// sweep's per-item entry order identical to the solo sweep's bucket).
   std::vector<std::vector<std::pair<NodeId, ScaledDouble>>> per_item;
+  size_t nodes_visited = 0;
+  size_t words_read = 0;
 };
 
 /// One variable-disjoint block of the compiled NOT W chain.
@@ -110,9 +121,10 @@ struct MvIndexBuildOptions {
   /// BddManagers (FromLineageSynthesis / ConcatOr stop reallocating and
   /// re-sorting per clause).
   bool use_presorted_synthesis = true;
-  /// Branch-light, software-prefetched CC-MVIntersect walk over the flat
-  /// SoA arrays; carried onto the built index (MvIndex::set_use_fast_intersect
-  /// flips it after the fact for A/B tests).
+  /// Branch-light CC-MVIntersect walk: a single-entry bucket walks its
+  /// query chain in registers instead of through the per-root hash maps;
+  /// carried onto the built index (MvIndex::set_use_fast_intersect flips it
+  /// after the fact for A/B tests).
   bool use_fast_intersect = true;
 };
 
@@ -382,7 +394,7 @@ class MvIndex {
   /// to *build* in the same manager still need their own synchronization.
   NodeId EnsureChainImported();
 
-  /// Toggles the branch-light, software-prefetched CC sweep walk after the
+  /// Toggles the branch-light CC sweep walk after the
   /// fact (normally inherited from MvIndexBuildOptions::use_fast_intersect).
   /// Results are bit-identical either way — intersect_kernel_test pins the
   /// parity; the setter exists for A/B comparisons on one built index.
@@ -400,11 +412,20 @@ class MvIndex {
   /// variable, returning their probability product and the chain entry.
   void FastForward(int32_t q_first_level, ScaledDouble* prefix, FlatId* start) const;
 
+  /// Index of the block that owns flat node `u`: the last block whose chain
+  /// entry is at or before u (blocks tile [0, N) contiguously in flat
+  /// order). from = 0 binary-searches the whole directory; a cursor at
+  /// block `from` (at or before u's block) gallops forward from it, so
+  /// advancing k blocks costs O(log k) probes.
+  size_t BlockOf(FlatId u, size_t from = 0) const;
+
   /// Product of the block factors strictly after the block that owns flat
-  /// node `u` (binary search over the chain roots) — what a consumer
-  /// multiplies a block-local probUnder read at `u` by to restore the
-  /// downstream chain's contribution.
-  ScaledDouble SuffixAfterNode(FlatId u) const;
+  /// node `u` — what a consumer multiplies a block-local probUnder read at
+  /// `u` by to restore the downstream chain's contribution.
+  ScaledDouble SuffixAfterNode(FlatId u) const {
+    return blocks_.empty() ? ScaledDouble::One()
+                           : block_suffix_[BlockOf(u) + 1];
+  }
 
   /// P(query sub-OBDD) with per-call memo (used when the W side exhausts).
   /// `qmgr` is the manager holding the query nodes.

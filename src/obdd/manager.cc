@@ -19,10 +19,10 @@ void BddManager::ReserveNodes(size_t n) {
   });
 }
 
-void BddManager::ReserveCaches(size_t n) { op_cache_.ReserveEntries(n); }
+void BddManager::ReserveCaches(size_t n) { op_cache_.GrowTo(n); }
 
 size_t BddManager::ClearOpCaches() {
-  const size_t freed = op_cache_.ShrinkToDefault();
+  const size_t freed = op_cache_.ShrinkToResting();
   cache_bytes_freed_ += freed;
   return freed;
 }
@@ -42,7 +42,16 @@ NodeId BddManager::Mk(int32_t level, NodeId lo, NodeId hi) {
         const BddNode& m = nodes_[id];
         return NodeHash(m.level, m.lo, m.hi);
       });
-  if (got == static_cast<uint32_t>(fresh)) nodes_.push_back(BddNode{level, lo, hi});
+  if (got == static_cast<uint32_t>(fresh)) {
+    nodes_.push_back(BddNode{level, lo, hi});
+    // Size the op cache to the manager. The cache is lossy and results are
+    // hash-consed, so its size changes how often work repeats, never a
+    // NodeId.
+    if (nodes_.size() > op_cache_.entries() &&
+        op_cache_.entries() < DirectMappedCache::kAutoEntries) {
+      op_cache_.GrowTo(nodes_.size(), DirectMappedCache::kAutoEntries);
+    }
+  }
   return static_cast<NodeId>(got);
 }
 

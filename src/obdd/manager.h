@@ -145,15 +145,18 @@ class BddManager {
   /// create ~`n` nodes, so large compilations stop rehashing mid-build.
   void ReserveNodes(size_t n);
   /// Grows the lossy apply/not cache toward one slot per expected memoized
-  /// step (clamped; see DirectMappedCache::kMaxEntries).
+  /// step (clamped; see DirectMappedCache::kMaxEntries). Without a
+  /// reservation the cache rests at DirectMappedCache::kRestingEntries and
+  /// Mk doubles it whenever the node count passes its size, up to
+  /// DirectMappedCache::kAutoEntries — a per-request query manager of a few
+  /// dozen nodes keeps a 1 KiB cache.
   void ReserveCaches(size_t n);
   /// Drops the apply/not memo cache and returns its allocation to the
-  /// default footprint, reporting the bytes freed. Purely a memory release:
+  /// resting footprint, reporting the bytes freed. Purely a memory release:
   /// results are hash-consed, so re-deriving an evicted entry returns the
   /// identical node. The sharded MV-index build calls this once per shard
-  /// when the compile phase ends — not between blocks: the fixed-size cache
-  /// cannot grow, and its stale entries stay valid, so a warm cache only
-  /// helps the shard's next block.
+  /// when the compile phase ends — not between blocks: stale entries stay
+  /// valid, so a warm cache only helps the shard's next block.
   size_t ClearOpCaches();
 
   /// Cumulative bytes released by ClearOpCaches() over the manager's

@@ -11,12 +11,14 @@
 //    power of two and the load factor is capped at 3/4, which keeps linear
 //    probe chains short without robin-hood bookkeeping.
 //
-//  * DirectMappedCache — a fixed-size, direct-mapped, *lossy* memo table in
-//    the style of CUDD's computed table. An insert simply overwrites
-//    whatever occupied the slot. Losing an entry never loses correctness
-//    for hash-consed DAG algorithms: recomputing an evicted result walks
-//    the same reduced structure and returns the identical node id — the
-//    cache only trades recomputation for bounded memory.
+//  * DirectMappedCache — a direct-mapped, *lossy* memo table in the style
+//    of CUDD's computed table. An insert simply overwrites whatever
+//    occupied the slot. Losing an entry never loses correctness for
+//    hash-consed DAG algorithms: recomputing an evicted result walks the
+//    same reduced structure and returns the identical node id — the cache
+//    only trades recomputation for bounded memory. It rests small and is
+//    grown by its owner (BddManager sizes it to its node count), so a
+//    manager that builds a few dozen nodes pays for a few dozen slots.
 //
 // Both containers are single-threaded, matching BddManager (the sharded
 // MV-index build gives every shard a private manager).
@@ -127,21 +129,24 @@ class FlatIdTable {
   size_t size_ = 0;
 };
 
-/// Fixed-size direct-mapped lossy cache: 64-bit key -> 32-bit value. The
-/// slot for a key is Mix64(key) masked to the (power-of-two) table size; an
-/// insert overwrites the slot unconditionally. `kEmptyKey` must never be
-/// used as a real key (BddManager's op encoding guarantees the top two key
-/// bits are < 3, so all-ones cannot occur).
+/// Direct-mapped lossy cache: 64-bit key -> 32-bit value. The slot for a
+/// key is Mix64(key) masked to the (power-of-two) table size; an insert
+/// overwrites the slot unconditionally. `kEmptyKey` must never be used as a
+/// real key (BddManager's op encoding guarantees the top two key bits are
+/// < 3, so all-ones cannot occur).
 class DirectMappedCache {
  public:
   static constexpr uint64_t kEmptyKey = ~0ULL;
-  /// 2^14 entries * 16 bytes = 256 KiB per manager at rest.
-  static constexpr size_t kDefaultEntries = size_t{1} << 14;
+  /// Resting size: 2^6 entries * 16 bytes = 1 KiB per manager.
+  static constexpr size_t kRestingEntries = size_t{1} << 6;
+  /// Where owner-driven growth stops (2^14 entries = 256 KiB): BddManager
+  /// doubles the cache as its node count passes the cache size, up to here.
+  static constexpr size_t kAutoEntries = size_t{1} << 14;
   /// Growth cap: 2^20 entries = 16 MiB. A lossy cache does not need
   /// capacity proportional to the workload, only to the live working set.
   static constexpr size_t kMaxEntries = size_t{1} << 20;
 
-  DirectMappedCache() { Resize(kDefaultEntries); }
+  DirectMappedCache() { Resize(kRestingEntries); }
 
   size_t entries() const { return table_.size(); }
   size_t MemoryBytes() const { return table_.capacity() * sizeof(Entry); }
@@ -157,23 +162,28 @@ class DirectMappedCache {
     table_[Mix64(key) & mask_] = Entry{key, value};
   }
 
-  /// Grows (never shrinks) toward one slot per expected memo entry, clamped
-  /// to kMaxEntries. Growing discards current contents — callers reserve
-  /// up front, before the build issues operations.
-  void ReserveEntries(size_t n) {
+  /// Grows (never shrinks) by doubling toward at least `n` entries, clamped
+  /// to `limit`. Live entries move to their slots in the larger table;
+  /// each old slot owns its own set of new slots, so none collide.
+  void GrowTo(size_t n, size_t limit = kMaxEntries) {
     size_t cap = entries();
-    while (cap < n && cap < kMaxEntries) cap <<= 1;
-    if (cap != entries()) Resize(cap);
+    while (cap < n && cap < limit) cap <<= 1;
+    if (cap <= entries()) return;
+    std::vector<Entry> old = std::move(table_);
+    Resize(cap);
+    for (const Entry& e : old) {
+      if (e.key != kEmptyKey) table_[Mix64(e.key) & mask_] = e;
+    }
   }
 
-  /// Drops every entry and returns the allocation to the default footprint.
-  /// Returns the number of bytes freed (0 when already at the default).
-  size_t ShrinkToDefault() {
+  /// Drops every entry and returns the allocation to the resting size.
+  /// Returns the number of bytes freed (0 when already at rest).
+  size_t ShrinkToResting() {
     const size_t before = MemoryBytes();
-    if (entries() != kDefaultEntries) {
+    if (entries() != kRestingEntries) {
       table_.clear();
       table_.shrink_to_fit();
-      Resize(kDefaultEntries);
+      Resize(kRestingEntries);
     } else {
       std::fill(table_.begin(), table_.end(), Entry{kEmptyKey, 0});
     }

@@ -6,15 +6,20 @@
 // answer bits. The serving golden hash of serve_concurrency_test is
 // re-pinned here with the fast walk toggled both ways, and randomized
 // query OBDDs stress the walk's bail cases (widening fronts, true sinks
-// deferred past the block level, sink-only collapses). Runs under the
-// TSan and ASan/UBSan CI jobs.
+// deferred past the block level, sink-only collapses). Sparse batches over
+// a 2K-block chain pin the bitmap-driven sweep: batch == solo, and its work
+// counters against an independent reachability walk. Runs under the TSan
+// and ASan/UBSan CI jobs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "core/engine.h"
@@ -230,6 +235,162 @@ TEST(IntersectKernelTest, BatchOfNMatchesNSoloUnderBothHatchStates) {
       const ScaledDouble solo = index.CCMVIntersectScaled(batch[i], &scratch);
       EXPECT_TRUE(SameBits(batched[i], solo))
           << "root " << i << " fast=" << fast;
+    }
+  }
+  index.set_use_fast_intersect(true);
+}
+
+/// A DBLP index with thousands of blocks (2,014 at 10K authors), so a batch
+/// whose roots sit in the first and last blocks crosses the whole chain.
+SharedWorkload& LongChain() {
+  static SharedWorkload* shared = [] {
+    auto* s = new SharedWorkload();
+    dblp::DblpConfig cfg;
+    cfg.num_authors = 10000;
+    cfg.num_threads = 2;
+    auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
+    MVDB_CHECK(mvdb.ok());
+    s->mvdb = std::move(mvdb).value();
+    s->engine = std::make_unique<QueryEngine>(s->mvdb.get());
+    MVDB_CHECK(s->engine->Compile(CompileOptions{.num_threads = 2}).ok());
+    return s;
+  }();
+  return *shared;
+}
+
+/// The flat nodes whose buckets a sweep of `root` fills, derived without
+/// the sweep: every (query node, flat node) pair of the MVIntersect
+/// recursion with neither side a sink, reached from the chain entry of the
+/// first block whose last level is at or after the root's level.
+std::set<FlatId> ReachedFlatNodes(const MvIndex& index, const BddManager& qmgr,
+                                  NodeId root) {
+  std::set<FlatId> reached;
+  if (qmgr.IsSink(root)) return reached;
+  const FlatObdd& flat = index.flat();
+  FlatId start = index.blocks().empty() ? flat.root() : kFlatTrue;
+  for (const MvBlock& b : index.blocks()) {
+    if (b.last_level >= qmgr.level(root)) {
+      start = b.chain_root;
+      break;
+    }
+  }
+  std::set<std::pair<NodeId, FlatId>> seen;
+  std::vector<std::pair<NodeId, FlatId>> stack;
+  auto reach = [&](NodeId q, FlatId u) {
+    if (!qmgr.IsSink(q) && u >= 0 && seen.insert({q, u}).second) {
+      stack.push_back({q, u});
+    }
+  };
+  reach(root, start);
+  while (!stack.empty()) {
+    const auto [q, u] = stack.back();
+    stack.pop_back();
+    reached.insert(u);
+    const BddNode& n = qmgr.node(q);
+    if (n.level < flat.level(u)) {  // query-only level: split q in place
+      reach(n.lo, u);
+      reach(n.hi, u);
+    } else if (n.level == flat.level(u)) {
+      reach(n.lo, flat.lo(u));
+      reach(n.hi, flat.hi(u));
+    } else {
+      reach(q, flat.lo(u));
+      reach(q, flat.hi(u));
+    }
+  }
+  return reached;
+}
+
+/// Index of the block that owns flat node `u`.
+size_t BlockOfNode(const MvIndex& index, FlatId u) {
+  const std::vector<MvBlock>& blocks = index.blocks();
+  size_t b = 0;
+  while (b + 1 < blocks.size() && blocks[b + 1].chain_root <= u) ++b;
+  return b;
+}
+
+TEST(IntersectKernelTest, SparseBatchesAcrossTheChainMatchSoloSweeps) {
+  SharedWorkload& s = LongChain();
+  MvIndex& index = s.engine->mutable_index();
+  const std::vector<MvBlock>& blocks = index.blocks();
+  ASSERT_GE(blocks.size(), 2000u);
+  const VarOrder& order = *index.manager().order();
+  // Roots live in the index's own manager, so MVIntersectScaled can check
+  // them too.
+  BddManager& qmgr = s.engine->manager();
+  // A literal (or a negated one) on the last level of block b: its sweep
+  // stays inside b, so roots in far-apart blocks leave long empty gaps.
+  auto lit = [&](size_t b, bool negated) {
+    const NodeId x = qmgr.MkVar(order.var_at_level(blocks[b].last_level));
+    return negated ? qmgr.Not(x) : x;
+  };
+  const size_t last = blocks.size() - 1;
+  const size_t mid = blocks.size() / 2;
+  const std::vector<std::vector<NodeId>> batches = {
+      {lit(0, false), lit(last, false)},
+      {lit(last, true), lit(0, true), lit(mid, false)},
+      {qmgr.And(lit(1, false), lit(2, false)), lit(last - 1, false),
+       lit(7, true), lit(mid + 3, true)},
+      // A disjunction over blocks 40 apart walks every block in between: a
+      // dense stretch next to sparse roots.
+      {lit(0, false), qmgr.Or(lit(mid, false), lit(mid + 40, false)),
+       lit(last, false)},
+  };
+
+  for (const bool fast : {false, true}) {
+    index.set_use_fast_intersect(fast);
+    for (size_t bi = 0; bi < batches.size(); ++bi) {
+      std::vector<CcQuery> batch;
+      std::set<FlatId> reached;
+      for (const NodeId root : batches[bi]) {
+        batch.push_back(CcQuery{&qmgr, root});
+        const std::set<FlatId> r = ReachedFlatNodes(index, qmgr, root);
+        reached.insert(r.begin(), r.end());
+      }
+      ASSERT_FALSE(reached.empty());
+      const FlatId lo = *reached.begin();
+      const FlatId hi = *reached.rbegin();
+      // The batch really jumps: a gap of more than one bitmap word and
+      // thousands of blocks between its first and last visited node.
+      FlatId max_gap = 0;
+      for (auto it = std::next(reached.begin()); it != reached.end(); ++it) {
+        max_gap = std::max(max_gap, *it - *std::prev(it));
+      }
+      EXPECT_GT(max_gap, 64) << "batch " << bi;
+      EXPECT_GE(BlockOfNode(index, hi) - BlockOfNode(index, lo), 1000u)
+          << "batch " << bi;
+
+      CcSweepScratch scratch;
+      std::vector<ScaledDouble> batched;
+      index.CCMVIntersectBatchScaled(batch, &scratch, &batched);
+      // The work counters: one visit per filled bucket, and the bitmap
+      // walk reads one word per visit plus one per 64 nodes of span.
+      const size_t span = static_cast<size_t>(hi - lo) + 1;
+      EXPECT_EQ(scratch.last_nodes_visited(), reached.size())
+          << "batch " << bi << " fast=" << fast;
+      EXPECT_LE(scratch.last_words_read(),
+                scratch.last_nodes_visited() + (span + 63) / 64 + 1)
+          << "batch " << bi << " fast=" << fast;
+
+      ASSERT_EQ(batched.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        CcSweepScratch solo_scratch;
+        const ScaledDouble solo =
+            index.CCMVIntersectScaled(batch[i], &solo_scratch);
+        EXPECT_TRUE(SameBits(batched[i], solo))
+            << "batch " << bi << " root " << i << " fast=" << fast;
+        // The top-down MVIntersect shares no sweep code (it finds each
+        // credit's block by binary search): same Eq. 5 ratio to rounding.
+        const double want = (index.MVIntersectScaled(batch[i].root) /
+                             index.ProbNotWScaled()).ToDouble();
+        EXPECT_NEAR((solo / index.ProbNotWScaled()).ToDouble(), want, 1e-9)
+            << "batch " << bi << " root " << i;
+        EXPECT_EQ(solo_scratch.last_nodes_visited(),
+                  ReachedFlatNodes(index, qmgr, batch[i].root).size());
+        // The same scratch again: a sweep leaves it empty for the next.
+        EXPECT_TRUE(SameBits(index.CCMVIntersectScaled(batch[i], &scratch),
+                             solo));
+      }
     }
   }
   index.set_use_fast_intersect(true);

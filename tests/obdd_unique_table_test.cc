@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obdd/manager.h"
+#include "prob/lineage.h"
 #include "util/flat_hash.h"
 #include "util/rng.h"
 
@@ -201,6 +203,64 @@ TEST(ClearOpCachesTest, ShrinksCapacityAndReportsFreedBytes) {
   // A second clear at the default footprint frees nothing further.
   EXPECT_EQ(mgr.ClearOpCaches(), 0u);
   EXPECT_EQ(mgr.cache_bytes_freed(), freed);
+}
+
+/// A random DNF lineage of `clauses` clauses over `num_vars` variables:
+/// 1-4 distinct variables per clause, about one literal in five negated.
+Lineage RandomLineage(Rng* rng, int num_vars, int clauses) {
+  Lineage lineage;
+  for (int c = 0; c < clauses; ++c) {
+    Clause pos, neg;
+    const uint64_t width = 1 + rng->Below(4);
+    for (uint64_t k = 0; k < width; ++k) {
+      const VarId v = static_cast<VarId>(rng->Below(num_vars));
+      (rng->Below(5) == 0 ? neg : pos).push_back(v);
+    }
+    lineage.AddSignedClause(std::move(pos), std::move(neg));
+  }
+  return lineage;
+}
+
+TEST(OpCacheSizingTest, AutoSizedCacheBuildsTheSameNodesAsAReservedOne) {
+  // One manager starts with the resting op cache and lets Mk double it as
+  // the node count passes each size, up to kAutoEntries; the other holds
+  // 2^20 entries from the start. The cache is lossy and results are
+  // hash-consed, so both must create the same nodes in the same order.
+  constexpr int kVars = 48;
+  BddManager auto_sized(Identity(kVars));
+  BddManager reserved(Identity(kVars));
+  reserved.ReserveCaches(size_t{1} << 20);
+  Rng rng(17);
+  for (int i = 0; i < 200; ++i) {
+    const Lineage lineage =
+        RandomLineage(&rng, kVars, 1 + static_cast<int>(rng.Below(16)));
+    ASSERT_EQ(auto_sized.FromLineageSynthesis(lineage),
+              reserved.FromLineageSynthesis(lineage))
+        << "lineage " << i;
+  }
+  // The workload crossed every doubling step of the auto-sized cache.
+  EXPECT_GT(auto_sized.num_created(), DirectMappedCache::kAutoEntries);
+  ASSERT_EQ(auto_sized.num_created(), reserved.num_created());
+  const NodeId end = static_cast<NodeId>(auto_sized.num_created()) + 2;
+  for (NodeId id = 2; id < end; ++id) {
+    const BddNode& a = auto_sized.node(id);
+    const BddNode& b = reserved.node(id);
+    ASSERT_TRUE(a.level == b.level && a.lo == b.lo && a.hi == b.hi)
+        << "node " << id;
+  }
+}
+
+TEST(OpCacheSizingTest, QuerySizedManagerStaysSmall) {
+  // Serving synthesizes every request into a fresh manager; a Fig. 10/11
+  // request is ~12 clauses and ~18 nodes. Its whole node store — nodes,
+  // unique table and op cache — must stay a few KiB: a batch keeps eight
+  // alive beside the index it sweeps, so a fixed 256 KiB op cache each
+  // would fill a 2 MiB L2.
+  BddManager mgr(Identity(64));
+  Rng rng(3);
+  const NodeId root = mgr.FromLineageSynthesis(RandomLineage(&rng, 64, 12));
+  EXPECT_FALSE(mgr.IsSink(root));
+  EXPECT_LT(mgr.MemoryBytes(), size_t{16} << 10);
 }
 
 TEST(FlatIdTableTest, FindOrInsertAndRehash) {
