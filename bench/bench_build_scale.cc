@@ -22,13 +22,8 @@
 //                                          # x {1,4}: the 1M-author trajectory
 //   bench_build_scale 500000 --threads=4   # one large cell
 //   bench_build_scale --no-templates       # classic per-block planning (the
-//                                          # CompileOptions escape hatch) for
-//                                          # template-on/off A-B runs
-//   bench_build_scale --classic-kernels    # all four hot-path kernel
-//                                          # hatches off (fused translate,
-//                                          # radix order, pre-sorted
-//                                          # synthesis, fast intersect) for
-//                                          # PR-7 A/B runs
+//                                          # CompileOptions reference path)
+//                                          # for template-on/off A-B runs
 //   bench_build_scale --repeat 5           # build every cell 5 times; the
 //                                          # table and phase split show the
 //                                          # fastest run, the JSON adds
@@ -80,7 +75,6 @@ uint64_t HashLayout(const FlatObdd& flat) {
 
 bool g_parity_failed = false;
 bool g_use_templates = true;
-bool g_classic_kernels = false;
 int g_repeat = 1;
 
 /// Peak resident set of this process so far, in MiB (Linux ru_maxrss is in
@@ -103,12 +97,6 @@ BuildResult BuildOnce(int authors, int threads) {
   CompileOptions copts;
   copts.num_threads = threads;
   copts.use_plan_templates = g_use_templates;
-  if (g_classic_kernels) {
-    copts.use_fused_translate = false;
-    copts.use_radix_order = false;
-    copts.use_presorted_synthesis = false;
-    copts.use_fast_intersect = false;
-  }
   // The chain is ~14 nodes per author at this workload shape; hint the
   // shard managers so the unique tables do not rehash mid-build.
   copts.reserve_hint = static_cast<size_t>(authors) * 16;
@@ -209,7 +197,6 @@ void ReportCell(int authors, int threads, const BuildResult& r,
       .Field("stitch_s", r.stats.stitch_seconds)
       .Field("import_s", r.stats.import_seconds)
       .Field("use_templates", g_use_templates ? 1 : 0)
-      .Field("classic_kernels", g_classic_kernels ? 1 : 0)
       .Field("plan_templates", r.stats.plan_templates)
       .Field("template_blocks", r.stats.template_blocks)
       .Field("template_plan_s", r.stats.template_plan_seconds)
@@ -281,8 +268,6 @@ int main(int argc, char** argv) {
       scale_sweep = true;
     } else if (std::strcmp(argv[i], "--no-templates") == 0) {
       mvdb::bench::g_use_templates = false;
-    } else if (std::strcmp(argv[i], "--classic-kernels") == 0) {
-      mvdb::bench::g_classic_kernels = true;
     } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
       mvdb::bench::g_repeat = std::atoi(argv[i] + 9);
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc &&
@@ -294,7 +279,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: bench_build_scale [authors ...] "
                    "[--threads=1,2,4] [--scale-sweep] [--no-templates] "
-                   "[--classic-kernels] [--repeat N]\n",
+                   "[--repeat N]\n",
                    argv[i]);
       return 2;
     }

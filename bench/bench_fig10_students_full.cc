@@ -40,10 +40,8 @@ void RunTenQueries() {
       .Field("blocks", w.engine->index().blocks().size())
       .Emit();
 
-  // All 10 queries share one shape: q1 plans it, q2..q10 reuse the cached
-  // template and skip planning entirely.
-  w.engine->EnablePlanCache(64);
-
+  // All 10 queries share one shape: q1 plans it, q2..q10 reuse the
+  // engine's cached template and skip planning entirely.
   const Table* advisor = w.mvdb->db().Find("Advisor");
   std::printf("%-6s %-14s %10s %10s  %s\n", "query", "advisor", "answers",
               "time(ms)", "plan");

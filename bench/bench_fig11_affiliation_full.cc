@@ -42,9 +42,8 @@ void RunTenQueries() {
     std::printf("no Affiliation tuples at this scale\n");
     return;
   }
-  // One shared query shape: the first query plans, the other nine hit.
-  w.engine->EnablePlanCache(64);
-
+  // One shared query shape: the first query plans, the other nine hit the
+  // engine's plan cache.
   std::printf("%-6s %-14s %10s %10s  %s\n", "query", "author", "answers",
               "time(ms)", "plan");
   const size_t stride = std::max<size_t>(1, aff->size() / 10);

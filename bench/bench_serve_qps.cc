@@ -3,10 +3,10 @@
 // affiliation-of-author against the full-scale synthetic DBLP.
 //
 // Sweeps client concurrency (closed-loop clients, one outstanding request
-// each) with the plan cache on and off; each cell reports QPS, p50 and p99
-// latency, batching and cache counters as one BENCH_JSON line. The paper
-// serves queries one at a time (Figures 10/11, <6 ms each); this harness
-// measures what the same index sustains under concurrent load.
+// each); each cell reports QPS, p50 and p99 latency, batching and plan-cache
+// counters as one BENCH_JSON line. The paper serves queries one at a time
+// (Figures 10/11, <6 ms each); this harness measures what the same index
+// sustains under concurrent load.
 //
 //   bench_serve_qps [scale] [--threads=N]   # N = server workers, default 4
 
@@ -118,49 +118,44 @@ void RunSweep() {
               g_threads);
   const std::vector<Ucq> mix = MakeQueryMix(w);
 
-  std::printf("%-7s %-8s %10s %10s %10s %10s %9s\n", "cache", "clients", "qps",
-              "p50(ms)", "p99(ms)", "batched", "hit rate");
-  for (const bool use_cache : {false, true}) {
-    for (const int clients : {1, 2, 4, 8, 16}) {
-      ServeOptions opts;
-      opts.num_threads = g_threads;
-      opts.use_plan_cache = use_cache;
-      auto server = Unwrap(w.engine->Serve(opts));
-      // Warm one request per shape so the sweep measures steady state, not
-      // first-plan cost (the cold plan is fig10/11's "planned" row).
-      for (const Ucq& q : mix) {
-        ServeRequest req;
-        req.query = q;
-        Die(server->Execute(req).status);
-      }
-      const int reps = std::max(40, 400 / clients);
-      const CellResult cell = RunCell(server.get(), mix, clients, reps);
-      const ServerStats stats = server->stats();
-      const PlanCacheStats pc = server->plan_cache_stats();
-      server->Shutdown();
-      if (cell.errors > 0) {
-        std::fprintf(stderr, "bench error: %zu serving errors\n", cell.errors);
-        std::exit(1);
-      }
-      std::printf("%-7s %-8d %10.0f %10.3f %10.3f %10zu %8.0f%%\n",
-                  use_cache ? "on" : "off", clients, cell.qps, cell.p50_ms,
-                  cell.p99_ms, static_cast<size_t>(stats.batched_requests),
-                  100.0 * pc.HitRate());
-      JsonLine("serve_qps")
-          .Field("authors", g_scale)
-          .Field("server_threads", g_threads)
-          .Field("plan_cache", use_cache ? 1 : 0)
-          .Field("clients", clients)
-          .Field("requests", cell.completed)
-          .Field("qps", cell.qps)
-          .Field("p50_ms", cell.p50_ms)
-          .Field("p99_ms", cell.p99_ms)
-          .Field("batches", static_cast<size_t>(stats.batches))
-          .Field("batched_requests",
-                 static_cast<size_t>(stats.batched_requests))
-          .Field("cache_hit_rate", pc.HitRate())
-          .Emit();
+  std::printf("%-8s %10s %10s %10s %10s %9s\n", "clients", "qps", "p50(ms)",
+              "p99(ms)", "batched", "hit rate");
+  for (const int clients : {1, 2, 4, 8, 16}) {
+    ServeOptions opts;
+    opts.num_threads = g_threads;
+    auto server = Unwrap(w.engine->Serve(opts));
+    // Warm one request per shape so the sweep measures steady state, not
+    // first-plan cost (the cold plan is fig10/11's "planned" row).
+    for (const Ucq& q : mix) {
+      ServeRequest req;
+      req.query = q;
+      Die(server->Execute(req).status);
     }
+    const int reps = std::max(40, 400 / clients);
+    const CellResult cell = RunCell(server.get(), mix, clients, reps);
+    const ServerStats stats = server->stats();
+    const PlanCacheStats pc = server->plan_cache_stats();
+    server->Shutdown();
+    if (cell.errors > 0) {
+      std::fprintf(stderr, "bench error: %zu serving errors\n", cell.errors);
+      std::exit(1);
+    }
+    std::printf("%-8d %10.0f %10.3f %10.3f %10zu %8.0f%%\n", clients,
+                cell.qps, cell.p50_ms, cell.p99_ms,
+                static_cast<size_t>(stats.batched_requests),
+                100.0 * pc.HitRate());
+    JsonLine("serve_qps")
+        .Field("authors", g_scale)
+        .Field("server_threads", g_threads)
+        .Field("clients", clients)
+        .Field("requests", cell.completed)
+        .Field("qps", cell.qps)
+        .Field("p50_ms", cell.p50_ms)
+        .Field("p99_ms", cell.p99_ms)
+        .Field("batches", static_cast<size_t>(stats.batches))
+        .Field("batched_requests", static_cast<size_t>(stats.batched_requests))
+        .Field("cache_hit_rate", pc.HitRate())
+        .Emit();
   }
 }
 

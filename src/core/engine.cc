@@ -38,7 +38,6 @@ Status QueryEngine::Compile(const CompileOptions& options) {
   if (!mvdb_->translated()) {
     TranslateOptions topts;
     topts.num_threads = options.num_threads;
-    topts.fused_weights = options.use_fused_translate;
     MVDB_RETURN_NOT_OK(mvdb_->Translate(topts));
     translate_seconds = timer.Seconds();
   }
@@ -46,9 +45,8 @@ Status QueryEngine::Compile(const CompileOptions& options) {
   const Database& db = mvdb_->db();
   ComputeOrderSpec();
 
-  mgr_ = std::make_unique<BddManager>(BuildVariableOrder(
-      db, order_spec_, options.num_threads, options.use_radix_order));
-  mgr_->set_scratch_synthesis(options.use_presorted_synthesis);
+  mgr_ = std::make_unique<BddManager>(
+      BuildVariableOrder(db, order_spec_, options.num_threads));
   // The per-VarId probability snapshot belongs to the order phase: at 1M
   // authors it walks every tuple variable once.
   var_probs_ = db.VarProbs();
@@ -267,16 +265,13 @@ Status QueryEngine::MaintainIndex(const DeltaEffects& effects) {
   auto new_mgr = std::make_unique<BddManager>(
       InsertVarsIntoOrder(db, order_spec_, mgr_->order()->vars(),
                           effects.new_vars));
-  new_mgr->set_scratch_synthesis(mgr_->scratch_synthesis());
   MVDB_RETURN_NOT_OK(
       index_->ApplyStructuralDelta(db, w, new_mgr.get(), var_probs_, dirty));
   mgr_ = std::move(new_mgr);
   // W's lineage gained derivations; cached plans were costed against the
   // old table statistics. Both rebuild lazily.
   w_lineage_.reset();
-  if (plan_cache_ != nullptr) {
-    plan_cache_ = std::make_unique<PlanCache>(plan_cache_->stats().capacity);
-  }
+  plan_cache_ = std::make_unique<PlanCache>(kPlanCacheCapacity);
   return Status::OK();
 }
 
@@ -295,16 +290,7 @@ StatusOr<std::unique_ptr<Server>> QueryEngine::Serve(
   return std::make_unique<Server>(&mvdb_->db(), index_.get(), options);
 }
 
-void QueryEngine::EnablePlanCache(size_t capacity) {
-  if (plan_cache_ == nullptr || plan_cache_->stats().capacity != capacity) {
-    plan_cache_ = std::make_unique<PlanCache>(capacity);
-  }
-}
-
 Status QueryEngine::CachedEval(const Ucq& q, AnswerMap* out) {
-  if (plan_cache_ == nullptr) {
-    return Eval(mvdb_->db(), q, EvalOptions{}, out);
-  }
   const UcqSignature sig = ComputeUcqSignature(q);
   auto tmpl = plan_cache_->GetOrPlan(mvdb_->db(), q, sig, EvalOptions{});
   MVDB_RETURN_NOT_OK(tmpl.status());
@@ -315,7 +301,6 @@ Status QueryEngine::CachedEval(const Ucq& q, AnswerMap* out) {
 }
 
 StatusOr<Lineage> QueryEngine::CachedEvalBoolean(const Ucq& q) {
-  if (plan_cache_ == nullptr) return EvalBoolean(mvdb_->db(), q);
   if (!q.IsBoolean()) {
     return Status::InvalidArgument("EvalBoolean requires a Boolean query");
   }

@@ -55,13 +55,15 @@ enum class Backend {
 /// threads; the output is bit-identical for every thread count (same block
 /// keys, same flat layout, same probabilities) — parallelism is purely a
 /// wall-clock knob. See MvIndexBuildOptions for the field semantics
-/// (num_threads, reserve_hint).
+/// (num_threads, reserve_hint, use_plan_templates).
 using CompileOptions = MvIndexBuildOptions;
 
 class QueryEngine {
  public:
   /// The engine borrows the Mvdb, which must outlive it.
-  explicit QueryEngine(Mvdb* mvdb) : mvdb_(mvdb) {}
+  explicit QueryEngine(Mvdb* mvdb)
+      : mvdb_(mvdb),
+        plan_cache_(std::make_unique<PlanCache>(kPlanCacheCapacity)) {}
 
   /// Runs the offline pipeline. Idempotent: once compiled, later calls (any
   /// options) are no-ops.
@@ -176,16 +178,13 @@ class QueryEngine {
   /// and shedding, batched CC sweep. The engine must outlive the server.
   StatusOr<std::unique_ptr<Server>> Serve(const ServeOptions& options = {});
 
-  /// Routes this engine's own query-side Eval calls (Query, QueryBoolean,
-  /// ConditionalBoolean, Explain, WLineage) through a plan cache, so
-  /// repeated query shapes skip the cost-based planner. Results are
-  /// bit-identical with the cache on or off (plan_cache_test asserts it).
-  void EnablePlanCache(size_t capacity = 128);
-  void DisablePlanCache() { plan_cache_.reset(); }
-  /// Zeroed stats when the cache is disabled.
-  PlanCacheStats plan_cache_stats() const {
-    return plan_cache_ != nullptr ? plan_cache_->stats() : PlanCacheStats{};
-  }
+  /// This engine's own query-side Eval calls (Query, QueryBoolean,
+  /// ConditionalBoolean, Explain, WLineage) plan through a plan cache of
+  /// kPlanCacheCapacity shapes, so repeated query shapes skip the
+  /// cost-based planner. A hit is bit-identical to planning from scratch
+  /// (plan_cache_test asserts it). Structural deltas empty the cache.
+  static constexpr size_t kPlanCacheCapacity = 128;
+  PlanCacheStats plan_cache_stats() const { return plan_cache_->stats(); }
 
   /// Lineage of W (computed lazily; large — Fig. 4 measures its size).
   StatusOr<const Lineage*> WLineage();
@@ -208,7 +207,7 @@ class QueryEngine {
   StatusOr<ScaledDouble> Numerator(const Lineage& q_lineage,
                                    const Ucq& q_grounded_or_w, Backend backend);
 
-  /// Eval / EvalBoolean, via the plan cache when enabled (bit-identical).
+  /// Eval / EvalBoolean through the plan cache (bit-identical to both).
   Status CachedEval(const Ucq& q, AnswerMap* out);
   StatusOr<Lineage> CachedEvalBoolean(const Ucq& q);
 

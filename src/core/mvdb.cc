@@ -10,7 +10,6 @@
 
 #include "query/eval.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 
 namespace mvdb {
 namespace {
@@ -92,53 +91,22 @@ Status Mvdb::Translate(const TranslateOptions& options) {
     std::vector<ViewTuple>& tuples = view_tuples_[i];
     tuples.reserve(answers.size());
     bool all_denial = !answers.empty();
-    if (options.fused_weights) {
-      // Fused gather: one pass touches each materialized tuple exactly once
-      // — the weight, its sanity check and the pure-denial detection ride
-      // the same loop that moves the lineage out of the answer map. Same
-      // weights, same first-error, same denial verdict as the staged path.
-      for (auto& [head, info] : answers) {
-        const double w =
-            view.Weight(head, static_cast<int64_t>(info.count_values.size()));
-        if (std::isinf(w)) {
-          return Status::InvalidArgument("view '" + view.name() +
-                                         "' produced an infinite weight");
-        }
-        if (w < 0.0 || std::isnan(w)) {
-          return Status::InvalidArgument("view '" + view.name() +
-                                         "' produced an invalid weight");
-        }
-        if (w != 0.0) all_denial = false;
-        tuples.push_back(ViewTuple{head, w, std::move(info.lineage), kNoVar});
+    // One pass touches each materialized tuple exactly once: the weight,
+    // its sanity check and the pure-denial detection ride the loop that
+    // moves the lineage out of the answer map.
+    for (auto& [head, info] : answers) {
+      const double w =
+          view.Weight(head, static_cast<int64_t>(info.count_values.size()));
+      if (std::isinf(w)) {
+        return Status::InvalidArgument("view '" + view.name() +
+                                       "' produced an infinite weight");
       }
-    } else {
-      // Staged path: gather tuples in answer (head) order, fan the
-      // per-tuple weight computation out — each weight lands in its
-      // tuple's slot, so the result is independent of scheduling — then
-      // validate serially.
-      std::vector<int64_t> counts;
-      counts.reserve(answers.size());
-      for (auto& [head, info] : answers) {
-        counts.push_back(static_cast<int64_t>(info.count_values.size()));
-        tuples.push_back(ViewTuple{head, 0.0, std::move(info.lineage), kNoVar});
+      if (w < 0.0 || std::isnan(w)) {
+        return Status::InvalidArgument("view '" + view.name() +
+                                       "' produced an invalid weight");
       }
-      ParallelForChunked(options.num_threads, tuples.size(), 1024,
-                         [&](size_t t) {
-                           tuples[t].weight = view.Weight(tuples[t].head,
-                                                          counts[t]);
-                         });
-      for (const ViewTuple& t : tuples) {
-        const double w = t.weight;
-        if (std::isinf(w)) {
-          return Status::InvalidArgument("view '" + view.name() +
-                                         "' produced an infinite weight");
-        }
-        if (w < 0.0 || std::isnan(w)) {
-          return Status::InvalidArgument("view '" + view.name() +
-                                         "' produced an invalid weight");
-        }
-        if (w != 0.0) all_denial = false;
-      }
+      if (w != 0.0) all_denial = false;
+      tuples.push_back(ViewTuple{head, w, std::move(info.lineage), kNoVar});
     }
 
     if (tuples.empty()) continue;  // empty view: no features, no W disjunct

@@ -47,19 +47,13 @@ struct ViewTuple {
 /// Knobs for the MVDB -> INDB translation. The translation's output (view
 /// tuples, weights, NV tables, W, variable numbering) is bit-identical for
 /// every thread count: view evaluation shards the driver atom with
-/// canonically merged answers, per-tuple weights land in indexed slots, and
-/// the NV emission stays serial so VarIds are allocated in tuple order.
+/// canonically merged answers, and the weight gather and NV emission stay
+/// serial so VarIds are allocated in tuple order.
 struct TranslateOptions {
-  /// Worker threads for view materialization and weight computation.
-  /// 1 = serial; <= 0 = one per hardware thread. Weight callbacks must be
-  /// pure functions (the shipped views' are) — they may run concurrently.
+  /// Worker threads for view materialization. 1 = serial; <= 0 = one per
+  /// hardware thread. Weights are computed (and validated) serially in the
+  /// gather loop that moves each materialized tuple out of the answer map.
   int num_threads = 1;
-  /// Compute each tuple's weight (and validate it) inside the gather loop
-  /// that materializes the view, touching every tuple once, instead of the
-  /// staged gather / parallel-weights / validate passes. Output is
-  /// bit-identical either way (translate parity tests pin it); the hatch
-  /// exists for A/B comparison.
-  bool fused_weights = true;
 };
 
 /// One base-table mutation of the incremental maintenance path

@@ -225,20 +225,6 @@ std::unique_ptr<FlatObdd> FlatObdd::FromOwnedStorage(
   return flat;
 }
 
-std::unique_ptr<FlatObdd> FlatObdd::FromTopologyRecompute(
-    std::vector<int32_t> levels, std::vector<FlatEdges> edges,
-    std::vector<double> level_probs, FlatId root,
-    const std::vector<size_t>& block_starts) {
-  MVDB_CHECK_EQ(levels.size(), edges.size());
-  std::unique_ptr<FlatObdd> flat(new FlatObdd());
-  flat->levels_store_ = std::move(levels);
-  flat->edges_store_ = std::move(edges);
-  flat->level_probs_store_ = std::move(level_probs);
-  flat->root_ = root;
-  flat->ComputeAnnotations(block_starts);
-  return flat;
-}
-
 std::unique_ptr<FlatObdd> FlatObdd::FromMappedStorage(
     const int32_t* levels, const FlatEdges* edges,
     const ScaledDouble* prob_under, const double* level_probs,

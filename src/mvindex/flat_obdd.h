@@ -140,16 +140,6 @@ class FlatObdd {
       std::vector<ScaledDouble> prob_under, std::vector<double> level_probs,
       FlatId root);
 
-  /// Assembles a FlatObdd from raw topology + level probabilities and
-  /// recomputes the block-local annotations from scratch over the given
-  /// block slices (ascending start offsets; the slices tile [0, N)). Used
-  /// by the v2->v3 file migration, which deliberately discards the file's
-  /// global-suffix annotation bytes.
-  static std::unique_ptr<FlatObdd> FromTopologyRecompute(
-      std::vector<int32_t> levels, std::vector<FlatEdges> edges,
-      std::vector<double> level_probs, FlatId root,
-      const std::vector<size_t>& block_starts);
-
   /// Non-owning span-backed storage mode (MvIndex::LoadMapped): the SoA
   /// bases point into `mapping` — read-only PROT_READ pages of the index
   /// file — which is kept alive for the lifetime of this FlatObdd. The

@@ -82,7 +82,7 @@ StatusOr<IndexFileReader> IndexFileReader::Validate(IndexFileReader r) {
   constexpr size_t kTableBytes = kNumIndexSections * sizeof(SectionEntry);
   // Magic, version and endian tag occupy the first 16 bytes of every format
   // generation, so check them from the common prefix before assuming the v3
-  // header size — an old-format file must earn the migration message, not a
+  // header size — an old-format file must earn the rebuild message, not a
   // bounds error.
   if (r.size_ < 16) {
     return Corrupt("file shorter than header");
@@ -109,14 +109,8 @@ StatusOr<IndexFileReader> IndexFileReader::Validate(IndexFileReader r) {
         "on this machine");
   }
   if (version != kIndexFormatVersion) {
-    if (version >= 1 && version < kIndexFormatVersion) {
-      return Status::InvalidArgument(
-          "index format version " + std::to_string(version) +
-          " predates the block-local annotation format (v" +
-          std::to_string(kIndexFormatVersion) +
-          "); run `dump_index --migrate <file>` to upgrade it offline, or "
-          "re-save the index from the database");
-    }
+    // Index files are rebuildable caches bound to their database by order
+    // digest: an older (or newer) generation is rebuilt, never converted.
     return Status::InvalidArgument(
         "index format version " + std::to_string(version) +
         " not supported (reader expects " +
@@ -270,7 +264,7 @@ StatusOr<std::vector<VarId>> ReadIndexVarOrder(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Writer (MvIndex::Save, MigrateIndexFile)
+// Writer (MvIndex::Save)
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -288,8 +282,7 @@ struct SectionSource {
 /// `path` (rename within one directory is atomic on POSIX filesystems).
 /// The temp name carries the pid plus a process-wide counter so concurrent
 /// savers of the same path never write through each other's temp file;
-/// every failure path removes it. Shared by MvIndex::Save and the offline
-/// v2->v3 migration so the two produce bit-identical layouts.
+/// every failure path removes it.
 Status WriteIndexSections(const std::string& path, IndexFileHeader h,
                           const SectionSource (&sources)[kNumIndexSections]) {
   h.magic = kIndexMagic;
@@ -725,243 +718,6 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Load(
       std::move(levels), std::move(edges), std::move(prob_under),
       std::move(level_probs), static_cast<FlatId>(h.root));
   return internal::IndexIoAccess::Assemble(r, mgr, std::move(flat));
-}
-
-// ---------------------------------------------------------------------------
-// Offline migration (dump_index --migrate)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// v2 fixed header (88 B): no annotation-scheme tag; the probUnder section
-/// carried globally-composed suffix products. The field prefix through
-/// `flags` is layout-identical to v3.
-struct IndexFileHeaderV2 {
-  uint64_t magic;
-  uint32_t format_version;
-  uint32_t endian_tag;
-  uint64_t num_nodes;
-  uint64_t num_levels;
-  uint64_t num_blocks;
-  int64_t root;
-  uint64_t var_order_digest;
-  uint64_t file_bytes;
-  uint64_t flags;
-  uint64_t section_table_checksum;
-  uint64_t header_checksum;
-};
-static_assert(sizeof(IndexFileHeaderV2) == 88);
-
-uint64_t HeaderChecksumV2(IndexFileHeaderV2 h) {
-  h.header_checksum = 0;
-  return Hash64(&h, sizeof(h));
-}
-
-Status WriteFileAtomic(const std::string& path, const void* data,
-                       uint64_t len) {
-  static std::atomic<uint64_t> copy_seq{0};
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
-                          std::to_string(copy_seq.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::InvalidArgument("cannot create " + tmp);
-    }
-    out.write(static_cast<const char*>(data),
-              static_cast<std::streamsize>(len));
-    out.flush();
-    if (!out) {
-      std::remove(tmp.c_str());
-      return Status::InvalidArgument("write failed for " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::InvalidArgument("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-/// Full structural + content validation of a v2 image, then a v3 rewrite:
-/// everything except the probUnder section carries over verbatim (the block
-/// records' standalone probabilities were already per-block in v2), and the
-/// annotations are recomputed block-locally from topology + level probs —
-/// derived data, so the rewrite is lossless by construction.
-Status MigrateV2(const std::vector<uint8_t>& bytes,
-                 const std::string& out_path) {
-  constexpr size_t kTableBytes = kNumIndexSections * sizeof(SectionEntry);
-  if (bytes.size() < sizeof(IndexFileHeaderV2) + kTableBytes) {
-    return Corrupt("file shorter than header");
-  }
-  IndexFileHeaderV2 h;
-  std::memcpy(&h, bytes.data(), sizeof(h));
-  if (HeaderChecksumV2(h) != h.header_checksum) {
-    return Corrupt("header checksum mismatch");
-  }
-  if ((h.flags & ~static_cast<uint64_t>(kIndexFlagDirty)) != 0) {
-    return Corrupt("unknown header flags");
-  }
-  if ((h.flags & kIndexFlagDirty) != 0) {
-    return Status::FailedPrecondition(
-        "v2 index file has an unfinished in-place patch (dirty flag set); "
-        "re-save it from the database before migrating");
-  }
-  if (h.file_bytes != bytes.size()) {
-    return Corrupt("file size does not match header file_bytes (truncated?)");
-  }
-  SectionEntry table[kNumIndexSections];
-  std::memcpy(table, bytes.data() + sizeof(h), kTableBytes);
-  if (Hash64(table, kTableBytes) != h.section_table_checksum) {
-    return Corrupt("section table checksum mismatch");
-  }
-  if (h.num_nodes > static_cast<uint64_t>(std::numeric_limits<FlatId>::max()) ||
-      h.num_levels >
-          static_cast<uint64_t>(std::numeric_limits<int32_t>::max()) ||
-      h.num_blocks >
-          static_cast<uint64_t>(std::numeric_limits<int32_t>::max())) {
-    return Corrupt("counts exceed 32-bit id space");
-  }
-  if (h.root < static_cast<int64_t>(kFlatTrue) ||
-      h.root >= static_cast<int64_t>(h.num_nodes)) {
-    return Corrupt("root out of range");
-  }
-  // v2 and v3 share section order, element sizes and expected counts, so
-  // the v3 helpers validate the v2 table directly. Content checksums run
-  // too — migration is offline, and writing a v3 file from torn v2 bytes
-  // would launder the corruption into a file that then validates.
-  IndexFileHeader counts;
-  std::memset(&counts, 0, sizeof(counts));
-  counts.num_nodes = h.num_nodes;
-  counts.num_levels = h.num_levels;
-  counts.num_blocks = h.num_blocks;
-  for (uint32_t s = 0; s < kNumIndexSections; ++s) {
-    const auto sec = static_cast<IndexSection>(s);
-    const SectionEntry& e = table[s];
-    if (e.offset % kIndexSectionAlign != 0 || e.offset > bytes.size() ||
-        e.length > bytes.size() || e.offset + e.length > bytes.size()) {
-      return Corrupt(std::string("section ") + SectionName(sec) +
-                     " out of bounds");
-    }
-    const uint64_t elem = ElemSize(sec);
-    if (e.length % elem != 0) {
-      return Corrupt(std::string("section ") + SectionName(sec) +
-                     " length not a multiple of its element size");
-    }
-    const uint64_t expected = ExpectedCount(sec, counts);
-    if (expected != std::numeric_limits<uint64_t>::max() &&
-        e.length / elem != expected) {
-      return Corrupt(std::string("section ") + SectionName(sec) +
-                     " length disagrees with header counts");
-    }
-    if (Hash64(bytes.data() + e.offset, e.length) != e.checksum) {
-      return Corrupt(std::string("section ") + SectionName(sec) +
-                     " checksum mismatch");
-    }
-  }
-
-  const size_t n = static_cast<size_t>(h.num_nodes);
-  const size_t num_levels = static_cast<size_t>(h.num_levels);
-  const size_t num_blocks = static_cast<size_t>(h.num_blocks);
-  std::vector<IndexBlockRecord> block_dir(num_blocks);
-  std::memcpy(block_dir.data(), bytes.data() + table[kSecBlockDir].offset,
-              num_blocks * sizeof(IndexBlockRecord));
-  const uint64_t blob_len = table[kSecKeyBlob].length;
-  std::vector<size_t> block_starts;
-  block_starts.reserve(num_blocks);
-  for (const IndexBlockRecord& rec : block_dir) {
-    if (rec.chain_root < kFlatTrue ||
-        rec.chain_root >= static_cast<int64_t>(h.num_nodes)) {
-      return Corrupt("block chain_root out of range");
-    }
-    if (rec.key_offset > blob_len || rec.key_len > blob_len ||
-        rec.key_offset + rec.key_len > blob_len) {
-      return Corrupt("block key span outside key blob");
-    }
-    if (rec.chain_root >= 0) {
-      block_starts.push_back(static_cast<size_t>(rec.chain_root));
-    }
-  }
-  std::sort(block_starts.begin(), block_starts.end());
-
-  std::vector<int32_t> levels(n);
-  std::memcpy(levels.data(), bytes.data() + table[kSecLevels].offset,
-              n * sizeof(int32_t));
-  std::vector<FlatEdges> edges(n);
-  std::memcpy(edges.data(), bytes.data() + table[kSecEdges].offset,
-              n * sizeof(FlatEdges));
-  std::vector<double> level_probs(num_levels);
-  std::memcpy(level_probs.data(), bytes.data() + table[kSecLevelProbs].offset,
-              num_levels * sizeof(double));
-  const auto flat = FlatObdd::FromTopologyRecompute(
-      std::move(levels), std::move(edges), std::move(level_probs),
-      static_cast<FlatId>(h.root), block_starts);
-
-  const SectionSource sources[kNumIndexSections] = {
-      {bytes.data() + table[kSecVarOrder].offset, table[kSecVarOrder].length},
-      {flat->level_probs_data(), num_levels * sizeof(double)},
-      {flat->levels_data(), n * sizeof(int32_t)},
-      {flat->edges_data(), n * sizeof(FlatEdges)},
-      {flat->prob_under_data(), n * sizeof(ScaledDouble)},
-      {block_dir.data(), num_blocks * sizeof(IndexBlockRecord)},
-      {bytes.data() + table[kSecKeyBlob].offset, blob_len},
-  };
-  IndexFileHeader out;
-  std::memset(&out, 0, sizeof(out));
-  out.num_nodes = h.num_nodes;
-  out.num_levels = h.num_levels;
-  out.num_blocks = h.num_blocks;
-  out.root = h.root;
-  out.var_order_digest = h.var_order_digest;
-  return WriteIndexSections(out_path, out, sources);
-}
-
-}  // namespace
-
-Status MigrateIndexFile(const std::string& in_path,
-                        const std::string& out_path) {
-  std::ifstream in(in_path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return Status::NotFound("cannot open " + in_path);
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 16) {
-    return Corrupt("file shorter than header");
-  }
-  std::vector<uint8_t> bytes(static_cast<size_t>(size));
-  in.seekg(0);
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) {
-    return Status::InvalidArgument("short read on " + in_path);
-  }
-  uint64_t magic;
-  uint32_t version;
-  uint32_t endian_tag;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  std::memcpy(&endian_tag, bytes.data() + 12, sizeof(endian_tag));
-  if (magic != kIndexMagic) {
-    return Corrupt("bad magic (not an MV-index file)");
-  }
-  if (endian_tag != kIndexEndianTag) {
-    return Status::InvalidArgument(
-        "index file was written on a foreign-endian host; rebuild the index "
-        "on this machine");
-  }
-  if (version == kIndexFormatVersion) {
-    // Already v3: validate fully, then pass the bytes through unchanged so
-    // migrating is idempotent (and a round-trip is byte-comparable).
-    MVDB_ASSIGN_OR_RETURN(IndexFileReader r,
-                          IndexFileReader::OpenOwned(in_path));
-    MVDB_RETURN_NOT_OK(r.VerifyChecksums());
-    return WriteFileAtomic(out_path, bytes.data(), bytes.size());
-  }
-  if (version != 2) {
-    return Status::InvalidArgument(
-        "index format version " + std::to_string(version) +
-        " cannot be migrated (only v2 upgrades to v" +
-        std::to_string(kIndexFormatVersion) + "); rebuild the index");
-  }
-  return MigrateV2(bytes, out_path);
 }
 
 StatusOr<std::unique_ptr<MvIndex>> MvIndex::LoadMapped(

@@ -41,14 +41,13 @@
 //
 // Versioning policy: kIndexFormatVersion bumps on ANY layout or semantics
 // change — field widths, section order, checksum function, ScaledDouble
-// representation. Readers accept exactly their own version; earlier
-// generations are rejected with a typed Status that names the offline
-// upgrade path (`dump_index --migrate`, backed by MigrateIndexFile below),
-// so a persisted 1M-author index survives a format bump without the 6.4s
-// rebuild. Endianness: files record the writer's byte
-// order; foreign-endian files are rejected rather than swapped (every
-// supported target is little-endian, and swapping would force a copy that
-// defeats the mmap mode).
+// representation. Readers accept exactly their own version; every other
+// generation is rejected with a typed Status that says to rebuild. An index
+// file is a rebuildable cache bound to its database by order digest, so
+// there is no converter between generations. Endianness: files record the
+// writer's byte order; foreign-endian files are rejected rather than
+// swapped (every supported target is little-endian, and swapping would
+// force a copy that defeats the mmap mode).
 
 #ifndef MVDB_MVINDEX_INDEX_IO_H_
 #define MVDB_MVINDEX_INDEX_IO_H_
@@ -73,15 +72,14 @@ namespace mvdb {
 /// v3: probUnder became block-local (each block's values are computed with
 /// its chain redirect read as True), the header grew an annotation-scheme
 /// tag (96 B), and PatchFile shrank to dirty-block slices instead of whole
-/// sections. v2 files upgrade offline via `dump_index --migrate`.
+/// sections. v1 and v2 files are rejected; rebuild them from the database.
 inline constexpr uint32_t kIndexFormatVersion = 3;
 
 /// IndexFileHeader::annotation_scheme values. The tag is explicit (not
 /// implied by the version) so a reader can state *what* about the bytes it
 /// does not understand, and so corruption of the semantics-bearing field is
 /// detected independently of the version word.
-inline constexpr uint32_t kAnnotationSchemeGlobalSuffix = 1;  ///< v2 files
-inline constexpr uint32_t kAnnotationSchemeBlockLocal = 2;    ///< v3 files
+inline constexpr uint32_t kAnnotationSchemeBlockLocal = 2;  ///< v3 files
 
 /// "MVIDX" + format generation, as a LE u64.
 inline constexpr uint64_t kIndexMagic = 0x31584449564DULL;  // "MVIDX1\0\0"
@@ -218,17 +216,6 @@ class IndexFileReader {
 /// BddManager *before* loading the index against it (MvIndex::Load*
 /// requires a manager whose order digest matches the file).
 StatusOr<std::vector<VarId>> ReadIndexVarOrder(const std::string& path);
-
-/// Rewrites the index file at `in_path` as format v3 at `out_path` (the two
-/// may be the same path). A v2 input is fully validated under the v2
-/// layout, its global-suffix probUnder bytes are discarded, and the
-/// block-local annotations are recomputed from the file's topology and
-/// per-level probabilities — lossless, because v2's annotation section is
-/// derived data over the same topology. A v3 input is validated and copied
-/// through byte-identically. Atomic: writes a sibling temp file and renames
-/// it over `out_path`.
-Status MigrateIndexFile(const std::string& in_path,
-                        const std::string& out_path);
 
 }  // namespace mvdb
 

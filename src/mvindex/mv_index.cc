@@ -362,7 +362,6 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
       static_cast<size_t>(shards));
   for (auto& m : shard_mgrs) {
     m = std::make_unique<BddManager>(mgr->order());
-    m->set_scratch_synthesis(options.use_presorted_synthesis);
     if (options.reserve_hint > 0) {
       const size_t per_shard =
           options.reserve_hint / static_cast<size_t>(shards) + 1;
@@ -434,7 +433,6 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   stats.blocks = index->blocks_.size();
   stats.flat_nodes = index->flat_->size();
   stats.flat_bytes = index->flat_->MemoryBytes();
-  index->use_fast_intersect_ = options.use_fast_intersect;
   return index;
 }
 
@@ -569,8 +567,7 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
 Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
                                      BddManager* new_mgr,
                                      const std::vector<double>& var_probs,
-                                     const std::vector<std::string>& dirty_keys,
-                                     const MvIndexBuildOptions& options) {
+                                     const std::vector<std::string>& dirty_keys) {
   for (const MvBlock& b : blocks_) {
     if (b.key.find('+') != std::string::npos) {
       return Status::Unimplemented(
@@ -610,11 +607,10 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
         new_mgr->var_at_level(static_cast<int32_t>(l)))];
   }
 
-  // Re-partition W over the updated database: the task set (and its
-  // deterministic order) is exactly what a from-scratch Build would see,
-  // including tasks for brand-new separator values.
-  PartitionResult partition =
-      PartitionBlocks(db, w, is_prob, options.num_threads);
+  // Re-partition W (serially) over the updated database: the task set (and
+  // its deterministic order) is exactly what a from-scratch Build would
+  // see, including tasks for brand-new separator values.
+  PartitionResult partition = PartitionBlocks(db, w, is_prob);
 
   std::unordered_set<std::string> dirty(dirty_keys.begin(), dirty_keys.end());
   std::unordered_map<std::string, size_t> old_block_by_key;
@@ -630,7 +626,6 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   // land in per-task slots so the downstream sort/merge/stitch sees the
   // canonical task order.
   BddManager shard(new_mgr->order());
-  shard.set_scratch_synthesis(options.use_presorted_synthesis);
   BlockCompileScratch scratch;
   std::unordered_map<std::string, std::unique_ptr<const ConObddTemplate>>
       templates;  // by signature key
@@ -664,7 +659,7 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
     // whose NOT W_b was true — recompiling the latter reproduces absence).
     ++recompiled;
     StatusOr<NodeId> f_or = BddManager::kFalse;
-    if (options.use_plan_templates && task.shape >= 0) {
+    if (task.shape >= 0) {
       const BlockShape& shape =
           partition.shapes[static_cast<size_t>(task.shape)];
       const UcqSignature sig = ComputeGroundedSignature(
@@ -680,9 +675,7 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
                                       &shard, &scratch.con);
     } else {
       ConObddBuilder builder(db, &shard);
-      f_or = task.shape < 0
-                 ? builder.Build(task.query)
-                 : builder.Build(MaterializeTaskQuery(partition, task));
+      f_or = builder.Build(task.query);
     }
     if (!f_or.ok()) return f_or.status();
     FinishBlock(&shard, f_or.value(), level_probs, &scratch, &out);

@@ -93,10 +93,10 @@ struct MvBlock {
 /// (the property tests assert this) — parallelism only changes wall time.
 struct MvIndexBuildOptions {
   /// Compilation shards; through QueryEngine::Compile the same budget also
-  /// shards the whole pipeline front-end (view translation, weight
-  /// computation, variable-order bucketing) and the partition stage's
-  /// separator-domain substitution. 1 = serial in the calling thread;
-  /// <= 0 = one per hardware thread; otherwise that many worker threads.
+  /// shards the pipeline front-end (view materialization, variable-order
+  /// bucketing) and the partition stage's separator-domain substitution.
+  /// 1 = serial in the calling thread; <= 0 = one per hardware thread;
+  /// otherwise that many worker threads.
   int num_threads = 1;
   /// Expected total manager nodes of the compile phase; pre-sizes each
   /// shard's node vector, unique table and apply caches so large builds
@@ -105,27 +105,9 @@ struct MvIndexBuildOptions {
   /// Compile each block through a shared per-shape plan template (plan the
   /// block-query shape once, execute it per separator value) instead of
   /// re-planning every grounded block query from scratch. The output is
-  /// bit-identical either way — the escape hatch exists for A/B parity
-  /// tests and benchmarks, not because the paths may diverge.
+  /// bit-identical either way; false is the classic per-block reference
+  /// that mvindex_template_test compares the template path against.
   bool use_plan_templates = true;
-  /// Hot-path kernel hatches (see DESIGN.md "Hot-path kernels"). Each
-  /// selects a faster kernel whose output is pinned bit-identical to the
-  /// classic one by parity tests; false falls back to the classic path.
-  /// Fuse per-tuple weight computation into view materialization
-  /// (Mvdb::Translate touches each tuple once).
-  bool use_fused_translate = true;
-  /// LSD radix/counting sort in BuildVariableOrder instead of the bucketed
-  /// comparison sort.
-  bool use_radix_order = true;
-  /// Scratch-reusing, pre-sorted clause synthesis in the per-shard
-  /// BddManagers (FromLineageSynthesis / ConcatOr stop reallocating and
-  /// re-sorting per clause).
-  bool use_presorted_synthesis = true;
-  /// Branch-light CC-MVIntersect walk: a single-entry bucket walks its
-  /// query chain in registers instead of through the per-root hash maps;
-  /// carried onto the built index (MvIndex::set_use_fast_intersect flips it
-  /// after the fact for A/B tests).
-  bool use_fast_intersect = true;
 };
 
 /// What the offline build did — the numbers bench_build_scale reports.
@@ -291,9 +273,10 @@ class MvIndex {
   /// separator values). `new_mgr` holds the updated variable order (the old
   /// order with the new variables spliced in; obdd/order.h,
   /// InsertVarsIntoOrder) and `dirty_keys` names the partition task keys
-  /// whose grounded block queries changed. Re-partitions W over the updated
-  /// database, recompiles exactly the dirty tasks through the per-shape
-  /// plan templates, reuses every clean block's flattened piece from the
+  /// whose grounded block queries changed. Re-partitions W (serially) over
+  /// the updated database, recompiles exactly the dirty tasks — decomposed
+  /// groups through the per-shape plan templates, undecomposed ones through
+  /// ConObddBuilder — reuses every clean block's flattened piece from the
   /// current chain (levels remapped through the order change), and
   /// restitches + reannotates — bit-identical to Build(db, w, new_mgr, ...)
   /// by construction. On success the index is bound to `new_mgr` and the
@@ -301,8 +284,7 @@ class MvIndex {
   Status ApplyStructuralDelta(const Database& db, const Ucq& w,
                               BddManager* new_mgr,
                               const std::vector<double>& var_probs,
-                              const std::vector<std::string>& dirty_keys,
-                              const MvIndexBuildOptions& options = {});
+                              const std::vector<std::string>& dirty_keys);
 
   /// Updates a persisted image of this index in place after a weight-only
   /// delta: rewrites only the bytes a weight repair can change — the
@@ -394,10 +376,10 @@ class MvIndex {
   /// to *build* in the same manager still need their own synchronization.
   NodeId EnsureChainImported();
 
-  /// Toggles the branch-light CC sweep walk after the
-  /// fact (normally inherited from MvIndexBuildOptions::use_fast_intersect).
-  /// Results are bit-identical either way — intersect_kernel_test pins the
-  /// parity; the setter exists for A/B comparisons on one built index.
+  /// Toggles the branch-light CC sweep walk (on by default). Off runs the
+  /// classic map-driven walk — the same walk the fast path bails to — so
+  /// intersect_kernel_test can pin fast == classic bitwise and
+  /// bench_fig09_intersect can A/B the two on one built index.
   void set_use_fast_intersect(bool on) { use_fast_intersect_ = on; }
   bool use_fast_intersect() const { return use_fast_intersect_; }
 

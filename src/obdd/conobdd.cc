@@ -119,27 +119,10 @@ ConResult ConObddBuilder::FromLineage(const Lineage& lineage) {
     out.id = BddManager::kFalse;
     return out;
   }
-  if (mgr_->scratch_synthesis()) {
-    // One pass: the synthesis already touches every literal's level, so it
-    // widens the range in place of the separate walk below.
-    out.id = mgr_->FromLineageSynthesisRanged(lineage, &out.min_level,
-                                              &out.max_level);
-  } else {
-    out.id = mgr_->FromLineageSynthesis(lineage);
-    // min/max over every variable mentioned (positive and negated literals)
-    // without materializing the sorted Vars() vector.
-    auto widen = [&](const std::vector<Clause>& clauses) {
-      for (const Clause& c : clauses) {
-        for (VarId v : c) {
-          const int32_t l = mgr_->level_of_var(v);
-          out.min_level = std::min(out.min_level, l);
-          out.max_level = std::max(out.max_level, l);
-        }
-      }
-    };
-    widen(lineage.clauses());
-    widen(lineage.neg_clauses());
-  }
+  // One pass: the synthesis already touches every literal's level, so it
+  // widens the range as it goes.
+  out.id = mgr_->FromLineageSynthesisRanged(lineage, &out.min_level,
+                                            &out.max_level);
   // A single clause is a chain built directly, no apply: concatenation-grade.
   if (lineage.size() > 1) {
     ++synthesis_count_;

@@ -160,59 +160,28 @@ NodeId BddManager::ConcatOr(NodeId f, NodeId g) {
   if (f == kFalse) return g;
   if (f == kTrue) return kTrue;
   if (g == kFalse) return f;
-  if (scratch_synthesis_) {
-    concat_memo_.clear();
-    return ConcatRec(f, g, kFalse, &concat_memo_);
-  }
-  std::unordered_map<NodeId, NodeId> memo;
-  return ConcatRec(f, g, kFalse, &memo);
+  concat_memo_.clear();
+  return ConcatRec(f, g, kFalse, &concat_memo_);
 }
 
 NodeId BddManager::ConcatAnd(NodeId f, NodeId g) {
   if (f == kTrue) return g;
   if (f == kFalse) return kFalse;
   if (g == kTrue) return f;
-  if (scratch_synthesis_) {
-    concat_memo_.clear();
-    return ConcatRec(f, g, kTrue, &concat_memo_);
-  }
-  std::unordered_map<NodeId, NodeId> memo;
-  return ConcatRec(f, g, kTrue, &memo);
+  concat_memo_.clear();
+  return ConcatRec(f, g, kTrue, &concat_memo_);
 }
 
-NodeId BddManager::FromSignedClause(const Clause& pos, const Clause& neg) {
-  if (scratch_synthesis_) {
-    return FromSignedClauseScratch(pos, neg, nullptr, nullptr);
-  }
+NodeId BddManager::FromSignedClauseRanged(const Clause& pos, const Clause& neg,
+                                          int32_t* min_level,
+                                          int32_t* max_level) {
   // Build the conjunction chain bottom-up in descending level order; a
   // positive literal branches false on 0, a negated one branches false on 1.
-  std::vector<std::pair<int32_t, bool>> lits;
-  lits.reserve(pos.size() + neg.size());
-  for (VarId v : pos) lits.push_back({level_of_var(v), false});
-  for (VarId v : neg) lits.push_back({level_of_var(v), true});
-  std::sort(lits.begin(), lits.end());
-  for (size_t i = 1; i < lits.size(); ++i) {
-    if (lits[i].first == lits[i - 1].first && lits[i].second != lits[i - 1].second) {
-      return kFalse;  // x ^ !x
-    }
-  }
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  NodeId acc = kTrue;
-  for (auto it = lits.rbegin(); it != lits.rend(); ++it) {
-    acc = it->second ? Mk(it->first, acc, kFalse) : Mk(it->first, kFalse, acc);
-  }
-  return acc;
-}
-
-NodeId BddManager::FromSignedClauseScratch(const Clause& pos, const Clause& neg,
-                                           int32_t* min_level,
-                                           int32_t* max_level) {
-  // Same chain as FromSignedClause, built into the member scratch. The
-  // literal sequence (pos levels then neg levels) is non-decreasing exactly
-  // when it is sorted as (level, negated) pairs — the negated flag only
-  // ever transitions false -> true, and (l, false) < (l, true) — so one
-  // level comparison per literal detects pre-sorted emission and skips the
-  // per-clause sort entirely.
+  // The literal sequence (pos levels then neg levels) is non-decreasing
+  // exactly when it is sorted as (level, negated) pairs — the negated flag
+  // only ever transitions false -> true, and (l, false) < (l, true) — so
+  // one level comparison per literal detects pre-sorted emission and skips
+  // the per-clause sort entirely.
   auto& lits = lits_scratch_;
   lits.clear();
   int32_t prev = -1;
@@ -249,17 +218,6 @@ NodeId BddManager::FromSignedClauseScratch(const Clause& pos, const Clause& neg,
   return acc;
 }
 
-NodeId BddManager::FromLineageSynthesis(const Lineage& lineage) {
-  NodeId acc = kFalse;
-  const auto& pos = lineage.clauses();
-  const auto& neg = lineage.neg_clauses();
-  for (size_t i = 0; i < pos.size(); ++i) {
-    const Clause empty;
-    acc = Or(acc, FromSignedClause(pos[i], i < neg.size() ? neg[i] : empty));
-  }
-  return acc;
-}
-
 NodeId BddManager::FromLineageSynthesisRanged(const Lineage& lineage,
                                               int32_t* min_level,
                                               int32_t* max_level) {
@@ -269,7 +227,7 @@ NodeId BddManager::FromLineageSynthesisRanged(const Lineage& lineage,
   const Clause empty;
   for (size_t i = 0; i < pos.size(); ++i) {
     const Clause& n = i < neg.size() ? neg[i] : empty;
-    acc = Or(acc, FromSignedClauseScratch(pos[i], n, min_level, max_level));
+    acc = Or(acc, FromSignedClauseRanged(pos[i], n, min_level, max_level));
   }
   return acc;
 }

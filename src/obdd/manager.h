@@ -92,30 +92,28 @@ class BddManager {
   NodeId FromClause(const Clause& clause) { return FromSignedClause(clause, {}); }
 
   /// Conjunction pos ^ !neg (Section 2.5 negation extension), built
-  /// directly. Returns kFalse on a contradictory literal pair.
-  NodeId FromSignedClause(const Clause& pos, const Clause& neg);
+  /// directly. Returns kFalse on a contradictory literal pair. The literals
+  /// fill a member buffer, and the per-clause sort is skipped when they are
+  /// already level-sorted — the common case, since lineage clauses come out
+  /// of ordered scans.
+  NodeId FromSignedClause(const Clause& pos, const Clause& neg) {
+    return FromSignedClauseRanged(pos, neg, nullptr, nullptr);
+  }
 
   /// Baseline OBDD construction exactly as a stock package performs it:
   /// clause BDDs combined by repeated synthesis. This is the "native CUDD"
   /// comparator in Fig. 8.
-  NodeId FromLineageSynthesis(const Lineage& lineage);
+  NodeId FromLineageSynthesis(const Lineage& lineage) {
+    return FromLineageSynthesisRanged(lineage, nullptr, nullptr);
+  }
 
-  /// FromLineageSynthesis that additionally widens *min_level / *max_level
-  /// by the level of every literal the lineage mentions (contradictory
-  /// clauses included), during the same pass over the clauses. The ConObdd
-  /// builder needs that range for concatenation eligibility; a separate
-  /// walk re-derived it per block.
+  /// FromLineageSynthesis that, when min_level / max_level are non-null,
+  /// additionally widens them by the level of every literal the lineage
+  /// mentions (contradictory clauses included), during the same pass over
+  /// the clauses. The ConObdd builder needs that range for concatenation
+  /// eligibility.
   NodeId FromLineageSynthesisRanged(const Lineage& lineage, int32_t* min_level,
                                     int32_t* max_level);
-
-  /// Selects scratch-reusing, pre-sorted clause synthesis: FromSignedClause
-  /// fills a member literal buffer (skipping the per-clause sort when the
-  /// emitted literals are already level-sorted — the common case, since
-  /// lineage clauses come out of ordered scans) and ConcatOr/ConcatAnd
-  /// reuse a member memo instead of allocating one per call. Results are
-  /// bit-identical either way; the hatch exists for A/B parity tests.
-  void set_scratch_synthesis(bool on) { scratch_synthesis_ = on; }
-  bool scratch_synthesis() const { return scratch_synthesis_; }
 
   /// P(f) by memoized Shannon expansion; probs indexed by VarId. Valid for
   /// probabilities outside [0,1]. Computed in extended-range arithmetic —
@@ -189,10 +187,10 @@ class BddManager {
   NodeId Apply(OpKind op, NodeId f, NodeId g);
   NodeId ConcatRec(NodeId f, NodeId g, NodeId sink_to_replace,
                    std::unordered_map<NodeId, NodeId>* memo);
-  /// The scratch-path clause build; when min_level/max_level are non-null
-  /// they are widened by every literal's level.
-  NodeId FromSignedClauseScratch(const Clause& pos, const Clause& neg,
-                                 int32_t* min_level, int32_t* max_level);
+  /// FromSignedClause; when min_level/max_level are non-null they are
+  /// widened by every literal's level.
+  NodeId FromSignedClauseRanged(const Clause& pos, const Clause& neg,
+                                int32_t* min_level, int32_t* max_level);
 
   std::shared_ptr<const VarOrder> order_;
   std::vector<BddNode> nodes_;
@@ -203,8 +201,7 @@ class BddManager {
   DirectMappedCache op_cache_;
   size_t apply_steps_ = 0;
   size_t cache_bytes_freed_ = 0;
-  bool scratch_synthesis_ = true;
-  /// Per-clause literal buffer of the scratch synthesis path.
+  /// Per-clause literal buffer of FromSignedClause.
   std::vector<std::pair<int32_t, bool>> lits_scratch_;
   /// Concat memo reused across ConcatOr/ConcatAnd calls (cleared per call).
   std::unordered_map<NodeId, NodeId> concat_memo_;

@@ -28,10 +28,10 @@ struct ExecContext {
 
 /// Immutable join plan for one conjunctive query of the template: atom
 /// order, probe columns and the per-depth comparison schedule, produced by
-/// the PR-4 cost-based planner (or the legacy greedy order). Prepare() reads
-/// only value-independent inputs — query structure, table sizes, per-column
-/// distinct counts — never the constants themselves, which is what makes
-/// one plan exact for every binding of the same signature. Execution
+/// the cost-based planner. Prepare() reads only value-independent inputs —
+/// query structure, table sizes, per-column distinct counts — never the
+/// constants themselves, which is what makes one plan exact for every
+/// binding of the same signature. Execution
 /// resolves constant terms through the slot vector at run time (the
 /// template's constant terms hold slot ids, not values).
 class CqPlan {
@@ -56,11 +56,7 @@ class CqPlan {
       (a.negated ? negatives_ : positives_).push_back(i);
     }
     MVDB_RETURN_NOT_OK(Validate());
-    if (opts_.strategy == EvalStrategy::kLegacyScan) {
-      PlanLegacy();
-    } else {
-      PlanCostBased();
-    }
+    PlanCostBased();
     ScheduleComparisons();
     driver_is_probe_ = !order_.empty() && probe_cols_[0] >= 0;
     return Status::OK();
@@ -87,8 +83,8 @@ class CqPlan {
   }
 
   /// Builds every index Execute() can touch, so concurrent workers only
-  /// read shared state (Table::EnsureIndex is not thread-safe). Only the
-  /// planned strategy fans out, and its probe columns are static.
+  /// read shared state (Table::EnsureIndex is not thread-safe). The probe
+  /// columns are static, so the plan names every index it can touch.
   void WarmPlanIndexes() const {
     for (size_t d = 0; d < order_.size(); ++d) {
       if (probe_cols_[d] >= 0) {
@@ -162,52 +158,6 @@ class CqPlan {
       }
     }
     return Status::OK();
-  }
-
-  /// Original greedy order over the positive atoms: repeatedly pick the atom
-  /// with the most bound arguments (ties: smaller table), probing the first
-  /// bound column. Kept as the reference strategy for the property tests.
-  void PlanLegacy() {
-    const size_t n = cq_.atoms.size();
-    std::vector<bool> used(n, false);
-    for (size_t i = 0; i < n; ++i) used[i] = cq_.atoms[i].negated;
-    std::vector<bool> bound(static_cast<size_t>(q_.num_vars()), false);
-    for (size_t step = 0; step < positives_.size(); ++step) {
-      size_t best = n;
-      long best_score = -1;
-      size_t best_size = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (used[i]) continue;
-        long score = 0;
-        for (const Term& t : cq_.atoms[i].args) {
-          if (!t.is_var() || bound[static_cast<size_t>(t.var)]) ++score;
-        }
-        const size_t size = tables_[i]->size();
-        if (best == n || score > best_score ||
-            (score == best_score && size < best_size)) {
-          best = i;
-          best_score = score;
-          best_size = size;
-        }
-      }
-      used[best] = true;
-      order_.push_back(best);
-      // First bound argument — the probe the old evaluator chose at run
-      // time. The bound-variable set at each depth is fixed by the order,
-      // so the choice is static.
-      int probe = -1;
-      for (size_t c = 0; c < cq_.atoms[best].args.size(); ++c) {
-        const Term& t = cq_.atoms[best].args[c];
-        if (!t.is_var() || bound[static_cast<size_t>(t.var)]) {
-          probe = static_cast<int>(c);
-          break;
-        }
-      }
-      probe_cols_.push_back(probe);
-      for (const Term& t : cq_.atoms[best].args) {
-        if (t.is_var()) bound[static_cast<size_t>(t.var)] = true;
-      }
-    }
   }
 
   /// Cost-based greedy order: each step picks the positive atom whose index
@@ -379,20 +329,7 @@ class CqPlan {
   void Join(const ExecContext& ctx, size_t depth) const {
     const Atom& atom = cq_.atoms[order_[depth]];
     const Table* table = tables_[order_[depth]];
-
-    int probe_col = probe_cols_[depth];
-    if (opts_.strategy == EvalStrategy::kLegacyScan) {
-      // Legacy behaviour: first argument with an available value (which can
-      // include same-atom repeated variables the static plan cannot use).
-      probe_col = -1;
-      for (size_t i = 0; i < atom.args.size(); ++i) {
-        Value v;
-        if (TermValue(ctx, atom.args[i], &v)) {
-          probe_col = static_cast<int>(i);
-          break;
-        }
-      }
-    }
+    const int probe_col = probe_cols_[depth];
     if (probe_col >= 0) {
       Value probe_val = 0;
       MVDB_CHECK(TermValue(ctx, atom.args[static_cast<size_t>(probe_col)],
@@ -524,10 +461,10 @@ Status PlanTemplate::Execute(std::span<const Value> slots, EvalScratch* scratch,
                              AnswerMap* out) const {
   for (const auto& plan : plans_) {
     const size_t rows = plan->NumDriverRows(slots.data());
-    int shards = 1;
-    if (opts_.strategy == EvalStrategy::kPlanned && opts_.num_threads != 1) {
-      shards = EffectiveThreads(opts_.num_threads, rows / kMinRowsPerWorker);
-    }
+    const int shards =
+        opts_.num_threads == 1
+            ? 1
+            : EffectiveThreads(opts_.num_threads, rows / kMinRowsPerWorker);
     if (shards <= 1) {
       ExecContext ctx;
       ctx.scratch = scratch;
@@ -557,8 +494,8 @@ Status PlanTemplate::Execute(std::span<const Value> slots, EvalScratch* scratch,
     for (AnswerMap& m : worker_maps) MergeAnswers(std::move(m), out);
   }
   // Normalize lineages (sorting, dedup, absorption) so downstream consumers
-  // see canonical DNFs — this is also what makes the planned, legacy and
-  // sharded evaluations bit-identical. Independent per answer, so it fans
+  // see canonical DNFs — this is also what makes the serial and sharded
+  // evaluations bit-identical. Independent per answer, so it fans
   // out over the same thread budget.
   std::vector<AnswerInfo*> infos;
   infos.reserve(out->size());

@@ -4,29 +4,19 @@
 // Postgres plays in the paper's prototype ("round trip call to Postgres, to
 // compute the query's lineage", Section 5.4).
 //
-// Two interchangeable execution strategies produce identical (canonical)
-// answers:
-//
-//   kPlanned (default) — cost-based join ordering driven by per-column
-//     distinct counts (Table::DistinctCount): each step picks the atom whose
-//     index probe visits the fewest rows, probing the most selective bound
-//     column of the table's hash-grouped index — an index-nested-loop join
-//     whose probe side is exactly a hash join's build table. The driver
-//     (first) atom can additionally be sharded across worker threads
-//     (EvalOptions::num_threads) with per-worker result maps merged
-//     deterministically, so the output is bit-identical for any thread
-//     count.
-//
-//   kLegacyScan — the original greedy bound-argument-count ordering with
-//     first-bound-column probes. Kept as the reference implementation the
-//     property tests compare against (it mis-orders joins whose bound
-//     columns have low selectivity, e.g. a 12-value institute column, which
-//     is what made the 1M-author translation scan-heavy). Always serial.
+// Evaluation is cost-based join ordering driven by per-column distinct
+// counts (Table::DistinctCount): each step picks the atom whose index probe
+// visits the fewest rows, probing the most selective bound column of the
+// table's hash-grouped index — an index-nested-loop join whose probe side is
+// exactly a hash join's build table. The driver (first) atom can
+// additionally be sharded across worker threads (EvalOptions::num_threads)
+// with per-worker result maps merged deterministically.
 //
 // Every join result emits one lineage clause containing the Boolean
 // variables of the probabilistic tuples it used; answers are canonicalized
-// (Lineage::Normalize) before returning, which is what makes the two
-// strategies and every thread count agree bit-for-bit.
+// (Lineage::Normalize) before returning, which is what makes every thread
+// count agree bit-for-bit (and what eval_join_test compares against a naive
+// scan-everything evaluator).
 
 #ifndef MVDB_QUERY_EVAL_H_
 #define MVDB_QUERY_EVAL_H_
@@ -62,19 +52,12 @@ struct AnswerProb {
   double prob;
 };
 
-/// Join-order / probe strategy (see file comment).
-enum class EvalStrategy {
-  kPlanned,     ///< cost-based order, selective probes, parallelizable
-  kLegacyScan,  ///< original greedy order, first-bound-column probes, serial
-};
-
 struct EvalOptions {
   /// Variable id whose distinct bindings are counted per head group, or -1.
   int count_var = -1;
-  EvalStrategy strategy = EvalStrategy::kPlanned;
-  /// Worker threads sharding the driver atom (kPlanned only; kLegacyScan
-  /// ignores it). 1 = serial; <= 0 = one per hardware thread. The answer
-  /// map, lineages and count sets are bit-identical for every value.
+  /// Worker threads sharding the driver atom. 1 = serial; <= 0 = one per
+  /// hardware thread. The answer map, lineages and count sets are
+  /// bit-identical for every value.
   int num_threads = 1;
 };
 

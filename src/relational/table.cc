@@ -8,7 +8,7 @@ namespace mvdb {
 
 namespace {
 
-/// Insert displacement past which the fast build doubles the slot table
+/// Insert displacement past which the index build doubles the slot table
 /// instead of probing on — the hybrid-hash bounded-probe partitioning rule.
 /// At load factor <= 1/2 a cluster this long means pathological hashing,
 /// not ordinary collisions.
@@ -33,71 +33,11 @@ const Table::ColumnIndex& Table::EnsureIndex(size_t col) const {
   if (indexes_[col] != nullptr) return *indexes_[col];
   indexes_[col] = std::make_unique<ColumnIndex>();
   ColumnIndex& idx = *indexes_[col];
-  if (use_fast_index_build_) {
-    BuildIndexFast(&idx, col);
-  } else {
-    BuildIndexLegacy(&idx, col);
-  }
+  BuildIndex(&idx, col);
   return idx;
 }
 
-void Table::BuildIndexLegacy(ColumnIndex* out, size_t col) const {
-  ColumnIndex& idx = *out;
-  const size_t n = size();
-
-  // Open-addressed capacity: power of two, load factor <= 1/2.
-  size_t cap = 16;
-  while (cap < 2 * n) cap <<= 1;
-  idx.slots.assign(cap, ColumnIndex::kEmptySlot);
-  idx.mask = static_cast<uint32_t>(cap - 1);
-  // The legacy path never tracked displacements; the whole table is the
-  // (trivially correct) probe bound.
-  idx.max_probe = idx.mask;
-
-  // Pass 1: assign each distinct value a slot (first-occurrence order) and
-  // count group sizes into `starts` (shifted by one for the exclusive scan).
-  std::vector<uint32_t>& counts = idx.starts;
-  counts.reserve(n / 4 + 2);
-  counts.push_back(0);
-  const size_t stride = arity();
-  const Value* column = data_.data() + col;
-  std::vector<uint32_t> slot_of_row(n);
-  for (size_t r = 0; r < n; ++r) {
-    const Value v = column[r * stride];
-    uint32_t pos = static_cast<uint32_t>(Mix64(static_cast<uint64_t>(v))) &
-                   idx.mask;
-    while (true) {
-      const uint32_t s = idx.slots[pos];
-      if (s == ColumnIndex::kEmptySlot) {
-        const uint32_t fresh = static_cast<uint32_t>(idx.slot_values.size());
-        idx.slots[pos] = fresh;
-        idx.slot_values.push_back(v);
-        counts.push_back(1);
-        slot_of_row[r] = fresh;
-        break;
-      }
-      if (idx.slot_values[s] == v) {
-        ++counts[s + 1];
-        slot_of_row[r] = s;
-        break;
-      }
-      pos = (pos + 1) & idx.mask;
-    }
-  }
-
-  // Exclusive scan turns counts into group start offsets.
-  for (size_t s = 1; s < counts.size(); ++s) counts[s] += counts[s - 1];
-
-  // Pass 2: scatter row ids into their groups. Scanning rows in order keeps
-  // each group ascending, so Probe results match the old layout exactly.
-  idx.row_ids.resize(n);
-  std::vector<uint32_t> cursor(counts.begin(), counts.end() - 1);
-  for (size_t r = 0; r < n; ++r) {
-    idx.row_ids[cursor[slot_of_row[r]]++] = static_cast<RowId>(r);
-  }
-}
-
-void Table::BuildIndexFast(ColumnIndex* out, size_t col) const {
+void Table::BuildIndex(ColumnIndex* out, size_t col) const {
   ColumnIndex& idx = *out;
   const size_t n = size();
 

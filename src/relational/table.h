@@ -108,16 +108,6 @@ class Table {
   /// Looks up a full row; returns true and sets *out if present.
   bool FindRow(std::span<const Value> row, RowId* out) const;
 
-  /// Selects the hardened index build (bounded-probe partitioning with
-  /// growth on clustering, run cache for skewed keys, counting scratch
-  /// reused across columns); false falls back to the legacy two-pass
-  /// build. Probe/DistinctCount results are identical on both paths
-  /// (table_skew_test pins it). Flipping drops already-built indexes.
-  void set_use_fast_index_build(bool on) {
-    use_fast_index_build_ = on;
-    for (auto& idx : indexes_) idx.reset();
-  }
-
  private:
   /// Hash-grouped index of one column: `row_ids` holds every row id grouped
   /// by column value (ascending within a group); `starts[s] .. starts[s+1]`
@@ -143,12 +133,10 @@ class Table {
 
   /// Builds (if absent) and returns the per-column index.
   const ColumnIndex& EnsureIndex(size_t col) const;
-  /// The hardened build: run cache for skewed keys, displacement-bounded
-  /// probing with capacity growth when clustering exceeds the bound, and
-  /// the per-row slot scratch reused across columns.
-  void BuildIndexFast(ColumnIndex* idx, size_t col) const;
-  /// The legacy two-pass build kept verbatim as the parity baseline.
-  void BuildIndexLegacy(ColumnIndex* idx, size_t col) const;
+  /// Two-pass counting build: run cache for skewed keys, displacement-
+  /// bounded probing with capacity growth when clustering exceeds the
+  /// bound, and the per-row slot scratch reused across columns.
+  void BuildIndex(ColumnIndex* idx, size_t col) const;
 
   std::string name_;
   std::vector<std::string> attrs_;
@@ -164,7 +152,6 @@ class Table {
   // slot_of_row scratch shared across column builds (same concurrency
   // contract as the builds themselves: serial, or behind WarmIndexes).
   mutable std::vector<uint32_t> index_scratch_;
-  bool use_fast_index_build_ = true;
 };
 
 }  // namespace mvdb

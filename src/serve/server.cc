@@ -45,9 +45,7 @@ Server::Server(const Database* db, const MvIndex* index,
           : options_.queue_capacity + static_cast<size_t>(NumWorkers(
                                           options_.num_threads)) *
                                           options_.max_batch;
-  if (options_.use_plan_cache) {
-    plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
-  }
+  plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
   // Every lazy table index the eval path can probe becomes a pure read
   // before any worker exists.
   db_->WarmIndexes();
@@ -154,21 +152,17 @@ void Server::WorkerLoop() {
 void Server::EvalRequest(const Ucq& q, WorkerState* state, EvalOutcome* out) {
   AnswerMap answers;
   const EvalOptions eopts{};  // serial per request; concurrency across requests
-  if (plan_cache_ != nullptr) {
-    const UcqSignature sig = ComputeUcqSignature(q);
-    bool hit = false;
-    auto tmpl = plan_cache_->GetOrPlan(*db_, q, sig, eopts, &hit);
-    if (!tmpl.ok()) {
-      out->status = tmpl.status();
-      return;
-    }
-    out->cache_hit = hit;
-    // PR-5 invariant: Plan + Execute(own slots) is bit-identical to Eval,
-    // so the cache can only change planning cost, never answers.
-    out->status = (*tmpl)->Execute(sig.slots, &state->eval, &answers);
-  } else {
-    out->status = Eval(*db_, q, eopts, &answers);
+  const UcqSignature sig = ComputeUcqSignature(q);
+  bool hit = false;
+  auto tmpl = plan_cache_->GetOrPlan(*db_, q, sig, eopts, &hit);
+  if (!tmpl.ok()) {
+    out->status = tmpl.status();
+    return;
   }
+  out->cache_hit = hit;
+  // Plan + Execute(own slots) is bit-identical to Eval, so the cache can
+  // only change planning cost, never answers.
+  out->status = (*tmpl)->Execute(sig.slots, &state->eval, &answers);
   if (!out->status.ok()) return;
 
   // Fresh per-request manager sharing the immutable VarOrder: NodeIds (and
@@ -285,9 +279,7 @@ void Server::Resume() {
 }
 
 void Server::InvalidatePlans() {
-  if (plan_cache_ != nullptr) {
-    plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
-  }
+  plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
 }
 
 void Server::Shutdown() {
@@ -320,7 +312,7 @@ ServerStats Server::stats() const {
 }
 
 PlanCacheStats Server::plan_cache_stats() const {
-  return plan_cache_ != nullptr ? plan_cache_->stats() : PlanCacheStats{};
+  return plan_cache_->stats();
 }
 
 }  // namespace mvdb

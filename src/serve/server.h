@@ -56,9 +56,8 @@ struct ServeOptions {
   /// Max requests one worker drains per dequeue; their answer tuples share
   /// one batched CC sweep. 1 disables cross-request batching.
   size_t max_batch = 8;
-  /// Escape hatch mirroring MvIndexBuildOptions::use_plan_templates: off
-  /// re-plans every request. Results are bit-identical either way.
-  bool use_plan_cache = true;
+  /// Query shapes the plan cache keeps (LRU). A hit is bit-identical to
+  /// planning from scratch; the capacity only bounds planning cost.
   size_t plan_cache_capacity = 128;
   /// Deadline applied to requests that don't carry their own. 0 = none.
   double default_deadline_ms = 0.0;
@@ -141,14 +140,13 @@ class Server {
   /// dequeued afterwards sees the post-mutation index consistently.
   void Resume();
 
-  /// Drops every cached plan (no-op when the cache is disabled). Only
-  /// needed for structural mutations: plans are value-independent, so
-  /// weight-only deltas keep the cache warm. Call between Pause() and
-  /// Resume() — workers read the cache pointer without a lock.
+  /// Drops every cached plan. Only needed for structural mutations: plans
+  /// are value-independent, so weight-only deltas keep the cache warm. Call
+  /// between Pause() and Resume() — workers read the cache pointer without
+  /// a lock.
   void InvalidatePlans();
 
   ServerStats stats() const;
-  /// Zeroed stats when the cache is disabled.
   PlanCacheStats plan_cache_stats() const;
   const ServeOptions& options() const { return options_; }
 

@@ -240,7 +240,6 @@ void TranslateLikeCompile(Mvdb* mvdb) {
   TranslateOptions topts;
   const CompileOptions copts;
   topts.num_threads = copts.num_threads;
-  topts.fused_weights = copts.use_fused_translate;
   MVDB_CHECK(mvdb->Translate(topts).ok());
 }
 

@@ -393,63 +393,6 @@ TEST(IndexIoCorruptTest, GarbageFilesAreRejected) {
   EXPECT_FALSE(MvIndex::LoadMapped(path, &mgr).ok());
 }
 
-/// Rewrites the pristine v3 image as a well-formed v2 file: the 88-byte v2
-/// header (no annotation-scheme tag) with the section table immediately
-/// after it, the gap up to the first payload zeroed, and every payload byte
-/// left at its v3 offset (v2 only requires 64-byte alignment, which the v3
-/// packing already satisfies). Checksums are recomputed v2-style, so the
-/// result is exactly what a v2 writer would have produced for this index —
-/// modulo the probUnder section still holding block-local values, which
-/// migration ignores and recomputes anyway.
-std::vector<uint8_t> MakeV2Image() {
-  SmallIndex& s = Small();
-  std::vector<uint8_t> bytes = s.bytes;
-  IndexFileHeader v3;
-  std::memcpy(&v3, bytes.data(), sizeof(v3));
-
-  // v2 header layout: identical through `flags`, then the two checksums
-  // (no annotation_scheme / header_reserved words).
-  struct V2Header {
-    uint64_t magic;
-    uint32_t format_version;
-    uint32_t endian_tag;
-    uint64_t num_nodes, num_levels, num_blocks;
-    int64_t root;
-    uint64_t var_order_digest, file_bytes, flags;
-    uint64_t section_table_checksum, header_checksum;
-  };
-  static_assert(sizeof(V2Header) == 88);
-  V2Header v2{};
-  v2.magic = v3.magic;
-  v2.format_version = 2;
-  v2.endian_tag = v3.endian_tag;
-  v2.num_nodes = v3.num_nodes;
-  v2.num_levels = v3.num_levels;
-  v2.num_blocks = v3.num_blocks;
-  v2.root = v3.root;
-  v2.var_order_digest = v3.var_order_digest;
-  v2.file_bytes = bytes.size();
-  v2.flags = 0;
-
-  constexpr size_t kTableBytes = kNumIndexSections * sizeof(SectionEntry);
-  // Slide the (content-identical) section table from offset 96 to 88, then
-  // zero the vacated span up to the first payload at AlignUp(96 + table).
-  std::memmove(bytes.data() + sizeof(V2Header),
-               bytes.data() + sizeof(IndexFileHeader), kTableBytes);
-  const size_t first_payload =
-      (sizeof(IndexFileHeader) + kTableBytes + kIndexSectionAlign - 1) /
-      kIndexSectionAlign * kIndexSectionAlign;
-  std::memset(bytes.data() + sizeof(V2Header) + kTableBytes, 0,
-              first_payload - sizeof(V2Header) - kTableBytes);
-
-  v2.section_table_checksum =
-      Hash64(bytes.data() + sizeof(V2Header), kTableBytes);
-  v2.header_checksum = 0;
-  v2.header_checksum = Hash64(&v2, sizeof(v2));
-  std::memcpy(bytes.data(), &v2, sizeof(v2));
-  return bytes;
-}
-
 std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   MVDB_CHECK(in.good()) << path;
@@ -461,58 +404,30 @@ std::vector<uint8_t> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
-TEST(IndexIoCorruptTest, V2FileIsRejectedWithTypedMigrateMessage) {
+TEST(IndexIoCorruptTest, OlderFormatVersionsAreRejectedWithRebuildMessage) {
+  // Index files are rebuildable caches: a v1 or v2 file is refused by both
+  // loaders with a typed message that names its version and says to
+  // rebuild. The version word sits at byte offset 8 in every generation and
+  // is checked before anything else, so patching it in the pristine image
+  // is all an old file needs to show.
   SmallIndex& s = Small();
-  const std::string path = ::testing::TempDir() + "/v2reject.mvidx";
-  WriteFile(path, MakeV2Image());
+  const std::string path = ::testing::TempDir() + "/oldversion.mvidx";
   BddManager mgr(s.engine->manager().order());
-  const auto owned = MvIndex::Load(path, &mgr);
-  ASSERT_FALSE(owned.ok());
-  EXPECT_EQ(owned.status().code(), StatusCode::kInvalidArgument);
-  // The rejection must be actionable: name the offline upgrade path, not
-  // just "wrong version".
-  EXPECT_NE(owned.status().ToString().find("--migrate"), std::string::npos)
-      << owned.status().ToString();
-  EXPECT_NE(owned.status().ToString().find("version 2"), std::string::npos)
-      << owned.status().ToString();
-  const auto mapped = MvIndex::LoadMapped(path, &mgr);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_NE(mapped.status().ToString().find("--migrate"), std::string::npos);
-}
-
-TEST(IndexIoCorruptTest, MigrateRewritesV2ToV3Losslessly) {
-  SmallIndex& s = Small();
-  const std::string in = ::testing::TempDir() + "/v2in.mvidx";
-  const std::string out = ::testing::TempDir() + "/v2out.mvidx";
-  WriteFile(in, MakeV2Image());
-  ASSERT_TRUE(MigrateIndexFile(in, out).ok());
-  // The synthetic v2 carries this exact index, and migration recomputes the
-  // annotations with the same block-local recurrence Save used — so the
-  // output must be byte-for-byte the pristine v3 image, not merely loadable.
-  EXPECT_EQ(ReadFileBytes(out), s.bytes);
-  BddManager mgr(s.engine->manager().order());
-  auto loaded = MvIndex::Load(out, &mgr);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ((*loaded)->blocks().size(), s.engine->index().blocks().size());
-}
-
-TEST(IndexIoCorruptTest, MigrateV3PassthroughIsByteIdentical) {
-  SmallIndex& s = Small();
-  const std::string out = ::testing::TempDir() + "/v3copy.mvidx";
-  // Migrating an already-current file is validate + copy (idempotent).
-  ASSERT_TRUE(MigrateIndexFile(s.path, out).ok());
-  EXPECT_EQ(ReadFileBytes(out), s.bytes);
-  // But a corrupt v3 input must NOT be laundered into a fresh-looking copy.
-  const std::string bad = ::testing::TempDir() + "/v3bad.mvidx";
-  std::vector<uint8_t> bytes = s.bytes;
-  SectionEntry e;
-  std::memcpy(&e, bytes.data() + sizeof(IndexFileHeader) +
-                      kSecProbUnder * sizeof(SectionEntry),
-              sizeof(e));
-  ASSERT_GT(e.length, 0u);
-  bytes[static_cast<size_t>(e.offset + e.length / 2)] ^= 0x01;  // stale sums
-  WriteFile(bad, bytes);
-  EXPECT_FALSE(MigrateIndexFile(bad, out).ok());
+  for (const uint32_t version : {1u, 2u}) {
+    std::vector<uint8_t> bytes = s.bytes;
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    WriteFile(path, bytes);
+    const Status owned = MvIndex::Load(path, &mgr).status();
+    const Status mapped = MvIndex::LoadMapped(path, &mgr).status();
+    for (const Status& st : {owned, mapped}) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_NE(st.ToString().find("version " + std::to_string(version)),
+                std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.ToString().find("rebuild"), std::string::npos)
+          << st.ToString();
+    }
+  }
 }
 
 TEST(IndexIoCorruptTest, CorruptedAnnotationSchemeTagIsRejected) {
@@ -528,11 +443,11 @@ TEST(IndexIoCorruptTest, CorruptedAnnotationSchemeTagIsRejected) {
     std::memcpy(bytes.data(), &h, sizeof(h));
     return bytes;
   };
-  // A v3 file claiming the v2 (global-suffix) scheme, a zero tag, and an
-  // unknown future tag: all must be refused by name, because serving
-  // global-suffix annotations through block-local consumers would silently
-  // double-count every suffix product.
-  for (const uint32_t scheme : {kAnnotationSchemeGlobalSuffix, 0u, 7u}) {
+  // A v3 file claiming the retired v2 (global-suffix) scheme tag 1, a zero
+  // tag, and an unknown future tag: all must be refused by name, because
+  // serving global-suffix annotations through block-local consumers would
+  // silently double-count every suffix product.
+  for (const uint32_t scheme : {1u, 0u, 7u}) {
     WriteFile(path, with_scheme(scheme));
     const Status st = ExpectRejected(path);
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << scheme;

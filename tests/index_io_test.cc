@@ -191,7 +191,7 @@ TEST(IndexIoTest, FormatVersionIsPinned) {
   // A bump invalidates every saved index; CI's golden-artifact cache keys
   // on this value. Bump deliberately, never accidentally. v3: probUnder
   // became block-local and the header grew the annotation-scheme tag;
-  // older files upgrade offline via `dump_index --migrate`.
+  // older files are rejected and rebuilt from the database.
   EXPECT_EQ(kIndexFormatVersion, 3u);
 }
 

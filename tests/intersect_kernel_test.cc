@@ -1,15 +1,15 @@
-// Parity battery for the hot-path kernels of the offline build and the
-// online CC sweep. Every kernel behind an MvIndexBuildOptions hatch —
-// fused translate, radix ordering, pre-sorted synthesis, and the
-// branch-light fast-intersect walk — must be bit-identical to its classic
-// counterpart: same flat layout, same extended-range probabilities, same
-// answer bits. The serving golden hash of serve_concurrency_test is
-// re-pinned here with the fast walk toggled both ways, and randomized
-// query OBDDs stress the walk's bail cases (widening fronts, true sinks
-// deferred past the block level, sink-only collapses). Sparse batches over
-// a 2K-block chain pin the bitmap-driven sweep: batch == solo, and its work
-// counters against an independent reachability walk. Runs under the TSan
-// and ASan/UBSan CI jobs.
+// Parity battery for the CC sweep's branch-light fast-intersect walk: with
+// the walk on (the default) and off (MvIndex::set_use_fast_intersect(false)
+// runs the classic map-driven walk the fast path bails to), every root must
+// get the same answer bits. The serving golden hash of
+// serve_concurrency_test is re-pinned here with the walk toggled both ways,
+// and randomized query OBDDs stress the walk's bail cases (widening fronts,
+// true sinks deferred past the block level, sink-only collapses). Sparse
+// batches over a 2K-block chain pin the bitmap-driven sweep: batch == solo,
+// and its work counters against an independent reachability walk. Build
+// parity across thread counts lives in pipeline_golden_test,
+// mvindex_template_test, mvindex_parallel_build_test and
+// dblp_determinism_test. Runs under the TSan and ASan/UBSan CI jobs.
 
 #include <gtest/gtest.h>
 
@@ -53,22 +53,6 @@ uint64_t HashAnswers(const std::vector<std::vector<AnswerProb>>& per_query) {
       std::memcpy(&bits, &a.prob, sizeof(bits));
       FnvMix(bits, &h);
     }
-  }
-  return h;
-}
-
-/// FNV-1a over the flat topology, node by node (the bench_build_scale
-/// parity digest).
-uint64_t HashLayout(const FlatObdd& flat) {
-  uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](int32_t v) {
-    h = (h ^ static_cast<uint32_t>(v)) * 1099511628211ULL;
-  };
-  mix(flat.root());
-  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
-    mix(flat.level(u));
-    mix(flat.lo(u));
-    mix(flat.hi(u));
   }
   return h;
 }
@@ -394,84 +378,6 @@ TEST(IntersectKernelTest, SparseBatchesAcrossTheChainMatchSoloSweeps) {
     }
   }
   index.set_use_fast_intersect(true);
-}
-
-/// One full offline build with a given thread count and hatch setting.
-struct BuiltCell {
-  std::unique_ptr<Mvdb> mvdb;
-  std::unique_ptr<QueryEngine> engine;
-  uint64_t layout_hash = 0;
-  size_t blocks = 0;
-  ScaledDouble prob_not_w;
-  uint64_t answers_hash = 0;
-};
-
-BuiltCell BuildCell(int threads, bool kernels_on) {
-  BuiltCell cell;
-  dblp::DblpConfig cfg;
-  cfg.num_authors = 200;
-  cfg.include_affiliation = true;
-  cfg.num_threads = threads;  // parity also covers the generator streams
-  auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
-  MVDB_CHECK(mvdb.ok());
-  cell.mvdb = std::move(mvdb).value();
-  cell.engine = std::make_unique<QueryEngine>(cell.mvdb.get());
-  CompileOptions copts;
-  copts.num_threads = threads;
-  copts.use_fused_translate = kernels_on;
-  copts.use_radix_order = kernels_on;
-  copts.use_presorted_synthesis = kernels_on;
-  copts.use_fast_intersect = kernels_on;
-  MVDB_CHECK(cell.engine->Compile(copts).ok());
-  const MvIndex& index = cell.engine->index();
-  cell.layout_hash = HashLayout(index.flat());
-  cell.blocks = index.blocks().size();
-  cell.prob_not_w = index.ProbNotWScaled();
-
-  // One serving-style query through the built index, hashed bitwise.
-  const Table* advisor = cell.mvdb->db().Find("Advisor");
-  MVDB_CHECK(advisor != nullptr && advisor->size() > 0);
-  const Ucq q = dblp::StudentsOfAdvisorQuery(
-      cell.mvdb.get(),
-      dblp::AuthorName(static_cast<int>(advisor->At(0, 1))));
-  AnswerMap answers;
-  MVDB_CHECK(Eval(cell.mvdb->db(), q, EvalOptions{}, &answers).ok());
-  BddManager qmgr(index.manager().order());
-  CcSweepScratch scratch;
-  const ScaledDouble denom = index.ProbNotWScaled();
-  std::vector<AnswerProb> out;
-  for (const auto& [head, info] : answers) {
-    const NodeId root = qmgr.FromLineageSynthesis(info.lineage);
-    const ScaledDouble num =
-        index.CCMVIntersectScaled(CcQuery{&qmgr, root}, &scratch);
-    out.push_back(AnswerProb{head, ClampProb((num / denom).ToDouble())});
-  }
-  MVDB_CHECK(!out.empty());
-  cell.answers_hash = HashAnswers({out});
-  return cell;
-}
-
-TEST(IntersectKernelTest, BuildKernelParityAcrossThreadCounts) {
-  // All four build/serve kernels on vs all off, across thread counts
-  // {1, 2, 8, 0} (0 = one shard per hardware thread): the flat layout, the
-  // block chain, P0(NOT W), and the answer bits of a full query must be
-  // identical everywhere.
-  const BuiltCell ref = BuildCell(/*threads=*/1, /*kernels_on=*/true);
-  EXPECT_GT(ref.blocks, 0u);
-  for (const int threads : {1, 2, 8, 0}) {
-    for (const bool kernels_on : {true, false}) {
-      if (threads == 1 && kernels_on) continue;  // the reference itself
-      const BuiltCell cell = BuildCell(threads, kernels_on);
-      EXPECT_EQ(cell.layout_hash, ref.layout_hash)
-          << "threads=" << threads << " kernels_on=" << kernels_on;
-      EXPECT_EQ(cell.blocks, ref.blocks)
-          << "threads=" << threads << " kernels_on=" << kernels_on;
-      EXPECT_TRUE(SameBits(cell.prob_not_w, ref.prob_not_w))
-          << "threads=" << threads << " kernels_on=" << kernels_on;
-      EXPECT_EQ(cell.answers_hash, ref.answers_hash)
-          << "threads=" << threads << " kernels_on=" << kernels_on;
-    }
-  }
 }
 
 }  // namespace

@@ -1,15 +1,15 @@
 // Plan-cache battery: hit/miss accounting, LRU capacity eviction, the
 // signature-collision corner from mvindex_template_test (equal constants
 // collapse onto one slot, so a query with colliding constants gets its OWN
-// shape, distinct from the non-colliding binding of the same syntax), and
-// the central correctness property — cached execution is bit-identical to
-// plan-from-scratch Eval on randomized UCQs, both at the PlanCache level
-// and through QueryEngine::EnablePlanCache.
+// shape, distinct from the non-colliding binding of the same syntax), the
+// central correctness property — cached execution is bit-identical to
+// plan-from-scratch Eval on randomized UCQs — and QueryEngine's own cache
+// hitting on repeated query shapes.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -212,50 +212,36 @@ TEST(PlanCacheTest, CachedEqualsFromScratchOnRandomizedUcqs) {
   }
 }
 
-TEST(PlanCacheTest, EngineRoutedQueriesAreBitIdenticalWithCacheOnAndOff) {
-  // QueryEngine::EnablePlanCache must not change a single output bit:
-  // compile two copies of the same random instance, route one engine's
-  // queries through the cache, and compare Query() probabilities bitwise.
-  for (int inst = 0; inst < 4; ++inst) {
-    auto make = [&]() {
-      Rng rng(9700 + static_cast<uint64_t>(inst));
-      RandomMvdbSpec spec;
-      spec.domain = 4;
-      return RandomMvdb(&rng, spec);
-    };
-    auto cached_mvdb = make();
-    auto plain_mvdb = make();
-    QueryEngine cached(cached_mvdb.get());
-    QueryEngine plain(plain_mvdb.get());
-    cached.EnablePlanCache(4);
-
-    const std::vector<std::string> queries = {
-        "Q(x) :- R(x), S(x,y).", "Q(x) :- R(x), S(x,y).",  // repeat: a hit
-        "Q(y) :- S(2,y).",       "Q(y) :- S(3,y).",        // shared shape
-        "Q :- R(1), S(1,y).",
-    };
-    for (const std::string& text : queries) {
-      const Ucq qc = MustParse(text, &cached_mvdb->db().dict());
-      const Ucq qp = MustParse(text, &plain_mvdb->db().dict());
-      auto rc = cached.Query(qc, Backend::kMvIndexCC);
-      auto rp = plain.Query(qp, Backend::kMvIndexCC);
-      ASSERT_TRUE(rc.ok()) << rc.status().ToString();
-      ASSERT_TRUE(rp.ok()) << rp.status().ToString();
-      ASSERT_EQ(rc->size(), rp->size());
-      for (size_t i = 0; i < rc->size(); ++i) {
-        EXPECT_EQ((*rc)[i].head, (*rp)[i].head);
-        uint64_t bc, bp;
-        std::memcpy(&bc, &(*rc)[i].prob, sizeof(bc));
-        std::memcpy(&bp, &(*rp)[i].prob, sizeof(bp));
-        EXPECT_EQ(bc, bp) << text << " answer " << i;
-      }
-    }
-    const PlanCacheStats stats = cached.plan_cache_stats();
-    EXPECT_GT(stats.hits, 0u);  // the repeat and the shared shape hit
-    EXPECT_GT(stats.misses, 0u);
-
-    cached.DisablePlanCache();
-    EXPECT_EQ(cached.plan_cache_stats().misses, 0u);
+TEST(PlanCacheTest, EngineQueriesPlanThroughTheEngineCache) {
+  // QueryEngine always plans through its own cache: a repeated query shape
+  // — the same query, or the same syntax with another constant — hits it.
+  // Hits are bit-identical to planning from scratch by the randomized
+  // PlanCache-level test above.
+  Rng rng(9700);
+  RandomMvdbSpec spec;
+  spec.domain = 4;
+  auto mvdb = RandomMvdb(&rng, spec);
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  EXPECT_EQ(engine.plan_cache_stats().capacity,
+            QueryEngine::kPlanCacheCapacity);
+  const struct {
+    const char* text;
+    bool hit;
+  } steps[] = {
+      {"Q(x) :- R(x), S(x,y).", false},
+      {"Q(x) :- R(x), S(x,y).", true},  // the same query
+      {"Q(y) :- S(2,y).", false},
+      {"Q(y) :- S(3,y).", true},  // same shape, another constant
+  };
+  for (const auto& step : steps) {
+    const PlanCacheStats before = engine.plan_cache_stats();
+    const Ucq q = MustParse(step.text, &mvdb->db().dict());
+    auto answers = engine.Query(q, Backend::kMvIndexCC);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    const PlanCacheStats after = engine.plan_cache_stats();
+    EXPECT_EQ(after.hits - before.hits, step.hit ? 1u : 0u) << step.text;
+    EXPECT_EQ(after.misses - before.misses, step.hit ? 0u : 1u) << step.text;
   }
 }
 

@@ -1,10 +1,9 @@
 // Concurrency battery for the serving layer, extending the golden-hash
 // discipline of pipeline_golden_test to the READ path: N client threads
 // hammer Eval + CC-MVIntersect on one shared index through a Server, across
-// worker counts {1, 2, 8, 0}, with the plan cache on and off and batching
-// on and off — and every single result must be bit-identical to the serial
-// first-principles evaluation (Eval + fresh-manager synthesis + solo CC
-// sweep). The serial reference itself is pinned by a golden hash, so a
+// worker counts {1, 2, 8, 0}, with batching on and off — and every single
+// result must be bit-identical to the serial first-principles evaluation
+// (Eval + fresh-manager synthesis + solo CC sweep). The serial reference itself is pinned by a golden hash, so a
 // change that silently moves answer bits fails even with the concurrency
 // machinery agreeing with itself. Runs under the TSan CI job.
 
@@ -226,27 +225,16 @@ TEST(ServeConcurrencyTest, BitIdenticalAcrossWorkerThreadCounts) {
   }
 }
 
-TEST(ServeConcurrencyTest, BitIdenticalWithCacheOffAndWithBatchingOff) {
+TEST(ServeConcurrencyTest, BitIdenticalWithBatchingOff) {
   SharedWorkload& s = Shared();
-  {
-    ServeOptions opts;
-    opts.num_threads = 8;
-    opts.use_plan_cache = false;  // the escape hatch: re-plan every request
-    auto server = s.engine->Serve(opts);
-    ASSERT_TRUE(server.ok());
-    Hammer(server->get(), 4, 2);
-    EXPECT_EQ((*server)->plan_cache_stats().misses, 0u);
-  }
-  {
-    ServeOptions opts;
-    opts.num_threads = 8;
-    opts.max_batch = 1;  // no cross-request batching
-    auto server = s.engine->Serve(opts);
-    ASSERT_TRUE(server.ok());
-    Hammer(server->get(), 4, 2);
-    (*server)->Shutdown();
-    EXPECT_EQ((*server)->stats().batched_requests, 0u);
-  }
+  ServeOptions opts;
+  opts.num_threads = 8;
+  opts.max_batch = 1;  // no cross-request batching
+  auto server = s.engine->Serve(opts);
+  ASSERT_TRUE(server.ok());
+  Hammer(server->get(), 4, 2);
+  (*server)->Shutdown();
+  EXPECT_EQ((*server)->stats().batched_requests, 0u);
 }
 
 TEST(ServeConcurrencyTest, BatchedSweepMatchesSoloSweepPerRoot) {

@@ -205,26 +205,5 @@ TEST(ServeDeadlineTest, SubmitAfterShutdownIsRejected) {
   server->Shutdown();  // idempotent
 }
 
-TEST(ServeDeadlineTest, CacheOffServerServesIdenticalAnswers) {
-  // The ServeOptions::use_plan_cache escape hatch: answers must not depend
-  // on the cache (bit-identity is pinned harder in serve_concurrency_test;
-  // here we check the hatch plumbs through and stats reflect it).
-  ServeOptions on, off;
-  off.use_plan_cache = false;
-  auto s_on = MakeServer(on);
-  auto s_off = MakeServer(off);
-  const ServeResult r_on = s_on->Execute(Req());
-  const ServeResult r_off = s_off->Execute(Req());
-  ASSERT_TRUE(r_on.status.ok());
-  ASSERT_TRUE(r_off.status.ok());
-  ASSERT_EQ(r_on.answers.size(), r_off.answers.size());
-  for (size_t i = 0; i < r_on.answers.size(); ++i) {
-    EXPECT_EQ(r_on.answers[i].head, r_off.answers[i].head);
-    EXPECT_EQ(r_on.answers[i].prob, r_off.answers[i].prob);
-  }
-  EXPECT_EQ(s_on->plan_cache_stats().misses, 1u);
-  EXPECT_EQ(s_off->plan_cache_stats().misses, 0u);  // cache disabled
-}
-
 }  // namespace
 }  // namespace mvdb

@@ -24,14 +24,8 @@
 //
 //   dump_index --load=dblp.mvidx --verify         # exit 0 iff intact
 //
-// Migrate mode (--migrate=PATH): rewrites a v2 index file as format v3
-// offline — block-local annotations recomputed from the file's topology —
-// so a persisted 1M-author index survives the format bump without a
-// rebuild. In-place by default; --save=OUT writes elsewhere. A v3 input is
-// validated and copied through byte-identically (idempotent).
-//
-//   dump_index --migrate=dblp.mvidx               # upgrade in place
-//   dump_index --migrate=old.mvidx --save=new.mvidx
+// A file of another format generation fails to open with a message that
+// says to rebuild it (build mode with --save=PATH does that).
 
 #include <cinttypes>
 #include <cstdio>
@@ -52,7 +46,6 @@ const char* kSectionNames[mvdb::kNumIndexSections] = {
 
 const char* SchemeName(uint32_t scheme) {
   switch (scheme) {
-    case mvdb::kAnnotationSchemeGlobalSuffix: return "global_suffix";
     case mvdb::kAnnotationSchemeBlockLocal: return "block_local";
     default: return "unknown";
   }
@@ -137,7 +130,6 @@ int main(int argc, char** argv) {
   CompileOptions copts;
   std::string save_path;
   std::string load_path;
-  std::string migrate_path;
   bool verify = false;
   bool quiet = false;
   for (int i = 1; i < argc; ++i) {
@@ -150,8 +142,6 @@ int main(int argc, char** argv) {
       save_path = argv[i] + 7;
     } else if (std::strncmp(argv[i], "--load=", 7) == 0) {
       load_path = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--migrate=", 10) == 0) {
-      migrate_path = argv[i] + 10;
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       verify = true;
     } else if (std::strcmp(argv[i], "--quiet") == 0) {
@@ -162,24 +152,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown flag %s\n"
                    "usage: dump_index [authors] [--threads=N] [--save=PATH]\n"
-                   "       dump_index --load=PATH [--verify] [--quiet]\n"
-                   "       dump_index --migrate=PATH [--save=OUT]\n",
+                   "       dump_index --load=PATH [--verify] [--quiet]\n",
                    argv[i]);
       return 2;
     }
-  }
-
-  if (!migrate_path.empty()) {
-    const std::string out = save_path.empty() ? migrate_path : save_path;
-    const Status st = MigrateIndexFile(migrate_path, out);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "migrated %s -> %s (format v%u, %s annotations)\n",
-                 migrate_path.c_str(), out.c_str(), kIndexFormatVersion,
-                 SchemeName(kAnnotationSchemeBlockLocal));
-    return 0;
   }
 
   if (!load_path.empty()) {

@@ -156,8 +156,6 @@ class Shell {
       std::printf("error: %s\n", st.ToString().c_str());
       return true;
     }
-    // Every query from here on plans once per shape and reuses the template.
-    engine_->EnablePlanCache(64);
     std::printf("compiled in %.2f s: MV-index %zu nodes, %zu blocks, "
                 "P0(not W) log-magnitude %.2f\n",
                 t.Seconds(), engine_->index().size(),
@@ -208,7 +206,6 @@ class Shell {
       return true;
     }
     engine_ = std::move(candidate);
-    engine_->EnablePlanCache(64);
     std::printf("opened MV-index %s (mmap'd): %zu nodes, %zu blocks in "
                 "%.3f s\n",
                 path.c_str(), engine_->index().size(),
@@ -300,9 +297,8 @@ class Shell {
       }
       std::printf("  (%s)  P = %.6f\n", head.c_str(), a.prob);
     }
-    const char* plan = after.hits > before.hits      ? "cached plan"
-                       : after.misses > before.misses ? "planned fresh"
-                                                      : "no cache";
+    const char* plan =
+        after.hits > before.hits ? "cached plan" : "planned fresh";
     std::printf("%zu answer(s) in %.3f ms (%s; cache hit rate %.0f%%)\n",
                 answers->size(), ms, plan, 100.0 * after.HitRate());
     return true;
