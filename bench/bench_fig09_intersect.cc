@@ -64,10 +64,13 @@ bool PrintSeries() {
     const double td_s = td_timer.Seconds() / kReps;
     const double td = (td_num / denom).ToDouble();
 
+    // One scratch across the reps, as a serving worker keeps its own.
+    const CcQuery cc_query{&w.engine->manager(), qb};
+    CcSweepScratch cc_scratch;
     Timer cc_timer;
     ScaledDouble cc_num;
     for (int i = 0; i < kReps; ++i) {
-      cc_num = w.engine->index().CCMVIntersectScaled(qb);
+      cc_num = w.engine->index().CCMVIntersectScaled(cc_query, &cc_scratch);
     }
     const double cc_s = cc_timer.Seconds() / kReps;
     const double cc = (cc_num / denom).ToDouble();
@@ -119,9 +122,12 @@ void BM_CCMVIntersect(benchmark::State& state) {
   Workload w = MakeWorkload(SweepConfig(static_cast<int>(state.range(0))));
   w.engine->mutable_index().set_use_fast_intersect(!g_classic_intersect);
   const Lineage q = WorstCaseLineage(*w.mvdb);
-  const NodeId qb = w.engine->manager().FromLineageSynthesis(q);
+  const CcQuery cc_query{&w.engine->manager(),
+                        w.engine->manager().FromLineageSynthesis(q)};
+  CcSweepScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(w.engine->index().CCMVIntersectScaled(qb));
+    benchmark::DoNotOptimize(
+        w.engine->index().CCMVIntersectScaled(cc_query, &scratch));
   }
 }
 BENCHMARK(BM_CCMVIntersect)->Arg(1000)->Arg(10000)

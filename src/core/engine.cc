@@ -12,16 +12,6 @@
 #include "util/timer.h"
 
 namespace mvdb {
-namespace {
-
-/// Clamps values that are within floating-point noise of [0, 1].
-double ClampProb(double p) {
-  if (p < 0.0 && p > -1e-9) return 0.0;
-  if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
-  return p;
-}
-
-}  // namespace
 
 Status QueryEngine::Compile(const CompileOptions& options) {
   if (compiled()) return Status::OK();
@@ -291,19 +281,11 @@ StatusOr<std::unique_ptr<Server>> QueryEngine::Serve(
 }
 
 Status QueryEngine::CachedEval(const Ucq& q, AnswerMap* out) {
-  const UcqSignature sig = ComputeUcqSignature(q);
-  auto tmpl = plan_cache_->GetOrPlan(mvdb_->db(), q, sig, EvalOptions{});
-  MVDB_RETURN_NOT_OK(tmpl.status());
-  EvalScratch scratch;
-  // Execute with the query's own slot binding: bit-identical to Eval(q)
-  // (the PR-5 template invariant), so caching never changes answers.
-  return (*tmpl)->Execute(sig.slots, &scratch, out);
+  return PlanAndExecute(mvdb_->db(), plan_cache_.get(), q, &scratch_.eval,
+                        out);
 }
 
 StatusOr<Lineage> QueryEngine::CachedEvalBoolean(const Ucq& q) {
-  if (!q.IsBoolean()) {
-    return Status::InvalidArgument("EvalBoolean requires a Boolean query");
-  }
   AnswerMap answers;
   MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
   if (answers.empty()) return Lineage();
@@ -329,10 +311,6 @@ StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
       const NodeId qb = mgr_->FromLineageSynthesis(q_lineage);
       return index_->MVIntersectScaled(qb);
     }
-    case Backend::kMvIndexCC: {
-      const NodeId qb = mgr_->FromLineageSynthesis(q_lineage);
-      return index_->CCMVIntersectScaled(qb);
-    }
     case Backend::kSafePlan: {
       // P0(Q v W) - P0(W) via lifted inference on both queries. Runs in
       // plain double: the lifted recursion multiplies per-value factors
@@ -347,39 +325,40 @@ StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
                             LiftedProb(mvdb_->db(), mvdb_->W(), var_probs_));
       return ScaledDouble(p_qw - p_w);
     }
+    default:
+      return Status::Internal("no oracle numerator for this backend");
   }
-  return Status::Internal("unknown backend");
 }
 
 StatusOr<std::vector<AnswerProb>> QueryEngine::Query(const Ucq& q,
                                                      Backend backend) {
   MVDB_RETURN_NOT_OK(Compile());
-  AnswerMap answers;
-  MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
-  const ScaledDouble denom = index_->ProbNotWScaled();
-  if (denom.IsZero()) {
-    return Status::Internal("P0(NOT W) = 0: the MVDB admits no possible world");
+  std::vector<std::vector<Value>> heads;
+  std::vector<ScaledDouble> nums;
+  if (backend == Backend::kMvIndexCC) {  // the serving path, a batch of one
+    std::vector<SynthesizedQuery> one(1);
+    SynthesizeQuery(mvdb_->db(), *index_, plan_cache_.get(), q, &scratch_.eval,
+                    &one[0]);
+    MVDB_RETURN_NOT_OK(one[0].status);
+    SweepNumerators(*index_, one, &scratch_.sweep, &nums);
+    heads = std::move(one[0].heads);
+  } else {
+    AnswerMap answers;
+    MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
+    for (const auto& [head, info] : answers) {
+      const Ucq grounded =
+          backend == Backend::kSafePlan ? GroundHead(q, head) : Ucq{};
+      MVDB_ASSIGN_OR_RETURN(ScaledDouble num,
+                            Numerator(info.lineage, grounded, backend));
+      heads.push_back(head);
+      nums.push_back(num);
+    }
   }
+  // One Eq. 5 step for every backend: for numerators computed in plain
+  // double, the extended-range quotient has the plain quotient's bits.
   std::vector<AnswerProb> out;
-  out.reserve(answers.size());
-  for (const auto& [head, info] : answers) {
-    Ucq grounded;
-    if (backend == Backend::kSafePlan) {
-      grounded = GroundHead(q, head);
-    }
-    MVDB_ASSIGN_OR_RETURN(ScaledDouble num,
-                          Numerator(info.lineage, grounded, backend));
-    // The huge common block factors cancel in the ratio (Eq. 5); only the
-    // final probability is converted back to double.
-    if (backend == Backend::kSafePlan || backend == Backend::kBruteForce) {
-      // These backends computed the numerator in plain double, normalized
-      // differently than the scaled denominator only if out of range —
-      // which their scale restrictions preclude.
-      out.push_back(AnswerProb{head, ClampProb(num.ToDouble() / denom.ToDouble())});
-    } else {
-      out.push_back(AnswerProb{head, ClampProb((num / denom).ToDouble())});
-    }
-  }
+  size_t cursor = 0;
+  MVDB_RETURN_NOT_OK(Eq5Answers(*index_, &heads, nums, &cursor, &out));
   return out;
 }
 
@@ -393,24 +372,28 @@ StatusOr<double> QueryEngine::ConditionalBoolean(const Ucq& q1, const Ucq& q2,
   MVDB_ASSIGN_OR_RETURN(Lineage lin2, CachedEvalBoolean(q2));
   // Numerators share the denominator P0(NOT W), which cancels:
   // P(Q1 | Q2) = P0(Q1 ^ Q2 ^ !W) / P0(Q2 ^ !W).
-  const NodeId b1 = mgr_->FromLineageSynthesis(lin1);
-  const NodeId b2 = mgr_->FromLineageSynthesis(lin2);
-  const NodeId joint = mgr_->And(b1, b2);
+  // The serving path synthesizes into one fresh manager and sweeps both
+  // roots in one batch; the oracles build in the engine's own manager.
+  std::optional<BddManager> fresh;
+  if (backend == Backend::kMvIndexCC) fresh.emplace(index_->manager().order());
+  BddManager& m = fresh.has_value() ? *fresh : *mgr_;
+  const NodeId b1 = m.FromLineageSynthesis(lin1);
+  const NodeId b2 = m.FromLineageSynthesis(lin2);
+  const NodeId joint = m.And(b1, b2);
   ScaledDouble num, den;
-  switch (backend) {
-    case Backend::kMvIndex:
-      num = index_->MVIntersectScaled(joint);
-      den = index_->MVIntersectScaled(b2);
-      break;
-    case Backend::kMvIndexCC:
-      num = index_->CCMVIntersectScaled(joint);
-      den = index_->CCMVIntersectScaled(b2);
-      break;
-    default: {
-      const NodeId not_w = index_->EnsureChainImported();
-      num = mgr_->ProbScaled(mgr_->And(joint, not_w), var_probs_);
-      den = mgr_->ProbScaled(mgr_->And(b2, not_w), var_probs_);
-    }
+  if (backend == Backend::kMvIndexCC) {
+    std::vector<ScaledDouble> nums;
+    index_->CCMVIntersectBatchScaled({{&m, joint}, {&m, b2}}, &scratch_.sweep,
+                                     &nums);
+    num = nums[0];
+    den = nums[1];
+  } else if (backend == Backend::kMvIndex) {
+    num = index_->MVIntersectScaled(joint);
+    den = index_->MVIntersectScaled(b2);
+  } else {
+    const NodeId not_w = index_->EnsureChainImported();
+    num = m.ProbScaled(m.And(joint, not_w), var_probs_);
+    den = m.ProbScaled(m.And(b2, not_w), var_probs_);
   }
   if (den.IsZero()) {
     return Status::InvalidArgument("conditioning event has probability zero");
@@ -471,17 +454,8 @@ StatusOr<double> QueryEngine::QueryBoolean(const Ucq& q, Backend backend) {
   if (!q.IsBoolean()) {
     return Status::InvalidArgument("QueryBoolean requires a Boolean query");
   }
-  MVDB_RETURN_NOT_OK(Compile());
-  MVDB_ASSIGN_OR_RETURN(Lineage lin, CachedEvalBoolean(q));
-  const ScaledDouble denom = index_->ProbNotWScaled();
-  if (denom.IsZero()) {
-    return Status::Internal("P0(NOT W) = 0: the MVDB admits no possible world");
-  }
-  MVDB_ASSIGN_OR_RETURN(ScaledDouble num, Numerator(lin, q, backend));
-  if (backend == Backend::kSafePlan || backend == Backend::kBruteForce) {
-    return ClampProb(num.ToDouble() / denom.ToDouble());
-  }
-  return ClampProb((num / denom).ToDouble());
+  MVDB_ASSIGN_OR_RETURN(std::vector<AnswerProb> answers, Query(q, backend));
+  return answers.empty() ? 0.0 : answers.front().prob;
 }
 
 }  // namespace mvdb

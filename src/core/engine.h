@@ -16,10 +16,13 @@
 //       P(Q(a)) = (P0(Q v W) - P0(W)) / (1 - P0(W))
 //               = P0(Q ^ NOT W) / P0(NOT W)
 //
-//   where the numerator comes from one of several interchangeable backends
-//   (brute force / reused W OBDD / MV-index MVIntersect / CC-MVIntersect /
-//   lifted safe plans) — they agree to floating-point accuracy, which the
-//   property tests assert.
+//   The default backend runs the serving body (serve/server.h): the bits
+//   of Server::Execute, whatever was asked before, and manager() never
+//   grows. The other Backend values are oracles that agree to 1e-9.
+//
+// A QueryEngine is single-caller: it keeps one plan cache and one pipeline
+// scratch across calls, so its methods must not run concurrently. Servers
+// built by Serve() are the concurrent surface.
 
 #ifndef MVDB_CORE_ENGINE_H_
 #define MVDB_CORE_ENGINE_H_
@@ -41,12 +44,14 @@
 
 namespace mvdb {
 
-/// Numerator evaluation strategy for Eq. 5.
+/// Numerator evaluation strategy for Eq. 5. kMvIndexCC is the serving path;
+/// the others are oracles for tests and bench_ablation_backends that agree
+/// with it to 1e-9 (they build query OBDDs in the engine's manager()).
 enum class Backend {
   kBruteForce,   ///< exhaustive enumeration over the joint lineage (tests)
   kObddReuse,    ///< synthesis of Q against the precompiled W OBDD
   kMvIndex,      ///< MV-index, top-down MVIntersect
-  kMvIndexCC,    ///< MV-index, cache-conscious forward sweep
+  kMvIndexCC,    ///< serving path: fresh manager + batched CC sweep
   kSafePlan,     ///< lifted inference on Q v W and W (safe queries only)
 };
 
@@ -113,12 +118,12 @@ class QueryEngine {
   /// the mutated database (delta_maintenance_test pins it).
   ///
   /// When `server` is non-null it must be a live Server over this engine's
-  /// index: it is paused around the index mutation and resumed with a
-  /// refreshed snapshot (order, Eq. 5 denominator, warm table indexes);
-  /// its plan cache is invalidated only when the delta is structural —
-  /// plans are value-independent, so weight moves keep it warm. The
-  /// engine-side caches follow the same rule (w_lineage_ and the query
-  /// plan cache survive weight-only deltas).
+  /// index: it is paused around the index mutation and resumed with its
+  /// table indexes re-warmed (its batches read the order and P0(NOT W) off
+  /// the index); its plan cache is invalidated only when the delta is
+  /// structural — plans are value-independent, so weight moves keep it
+  /// warm. The engine-side caches follow the same rule (w_lineage_ and the
+  /// query plan cache survive weight-only deltas).
   ///
   /// On a non-OK return the database may hold an applied prefix of `ops`
   /// while the index does not reflect it; the typed code says why
@@ -132,7 +137,7 @@ class QueryEngine {
   StatusOr<std::vector<AnswerProb>> Query(const Ucq& q,
                                           Backend backend = Backend::kMvIndexCC);
 
-  /// Evaluates a Boolean UCQ.
+  /// Evaluates a Boolean UCQ: Query's single answer, or 0 when none.
   StatusOr<double> QueryBoolean(const Ucq& q,
                                 Backend backend = Backend::kMvIndexCC);
 
@@ -145,9 +150,9 @@ class QueryEngine {
                                               Backend backend = Backend::kMvIndexCC);
 
   /// Conditional probability P(Q1 | Q2) on the MVDB: by Theorem 1 this is
-  /// P0(Q1 ^ Q2 ^ NOT W) / P0(Q2 ^ NOT W) — two intersect calls against the
-  /// same index. Both queries must be Boolean. Returns InvalidArgument when
-  /// P(Q2) = 0.
+  /// P0(Q1 ^ Q2 ^ NOT W) / P0(Q2 ^ NOT W) — on kMvIndexCC, one batched sweep
+  /// of both roots in one fresh manager. Both queries must be Boolean.
+  /// Returns InvalidArgument when P(Q2) = 0.
   StatusOr<double> ConditionalBoolean(const Ucq& q1, const Ucq& q2,
                                       Backend backend = Backend::kMvIndexCC);
 
@@ -179,8 +184,8 @@ class QueryEngine {
   StatusOr<std::unique_ptr<Server>> Serve(const ServeOptions& options = {});
 
   /// This engine's own query-side Eval calls (Query, QueryBoolean,
-  /// ConditionalBoolean, Explain, WLineage) plan through a plan cache of
-  /// kPlanCacheCapacity shapes, so repeated query shapes skip the
+  /// QueryTopK, ConditionalBoolean, Explain, WLineage) plan through a plan
+  /// cache of kPlanCacheCapacity shapes, so repeated query shapes skip the
   /// cost-based planner. A hit is bit-identical to planning from scratch
   /// (plan_cache_test asserts it). Structural deltas empty the cache.
   static constexpr size_t kPlanCacheCapacity = 128;
@@ -219,6 +224,7 @@ class QueryEngine {
   std::vector<double> var_probs_;
   std::optional<Lineage> w_lineage_;
   std::unique_ptr<PlanCache> plan_cache_;
+  PipelineScratch scratch_;  ///< kept across calls (single caller)
 };
 
 }  // namespace mvdb

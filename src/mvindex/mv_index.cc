@@ -619,12 +619,11 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
     old_block_by_key.emplace(blocks_[i].key, i);
   }
 
-  // Compile dirty (and previously-absent) tasks through the per-shape plan
-  // templates — planned once per structural signature, executed per binding
-  // — in a scratch manager over the new order; extract every clean block's
-  // flattened piece from the current chain with levels remapped. Both kinds
-  // land in per-task slots so the downstream sort/merge/stitch sees the
-  // canonical task order.
+  // Compile dirty tasks through the per-shape plan templates — planned once
+  // per structural signature, executed per binding — in a scratch manager
+  // over the new order; extract every clean block's flattened piece from the
+  // current chain with levels remapped. Both kinds land in per-task slots so
+  // the downstream sort/merge/stitch sees the canonical task order.
   BddManager shard(new_mgr->order());
   BlockCompileScratch scratch;
   std::unordered_map<std::string, std::unique_ptr<const ConObddTemplate>>
@@ -635,9 +634,13 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
     const BlockTask& task = partition.tasks[i];
     CompiledBlock& out = compiled[i];
     out.key = task.key;
-    const auto old_it = old_block_by_key.find(task.key);
-    if (!dirty.contains(task.key) && old_it != old_block_by_key.end()) {
-      // Clean block: re-extract its stitched slice as a standalone piece.
+    if (!dirty.contains(task.key)) {
+      // A clean task's query and data are unchanged (a new separator value
+      // arrives through a touched tuple, so its task is dirty): one absent
+      // from the old chain (NOT W_b true) stays absent, and a present one
+      // re-extracts its stitched slice as a standalone piece.
+      const auto old_it = old_block_by_key.find(task.key);
+      if (old_it == old_block_by_key.end()) continue;
       const size_t b = old_it->second;
       const FlatId begin = blocks_[b].chain_root;
       const FlatId end = b + 1 < blocks_.size()
@@ -655,8 +658,6 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
                                            &scratch.prob_vals);
       continue;
     }
-    // Dirty, or absent from the old chain (a new separator value, or a task
-    // whose NOT W_b was true — recompiling the latter reproduces absence).
     ++recompiled;
     StatusOr<NodeId> f_or = BddManager::kFalse;
     if (task.shape >= 0) {
@@ -844,10 +845,6 @@ ScaledDouble MvIndex::MVIntersectScaled(NodeId q_root) const {
     return r;
   };
   return prefix * rec(rec, q_root, start);
-}
-
-ScaledDouble MvIndex::CCMVIntersectScaled(NodeId q_root) const {
-  return CCMVIntersectScaled(CcQuery{mgr_, q_root}, &cc_scratch_);
 }
 
 ScaledDouble MvIndex::CCMVIntersectScaled(const CcQuery& q,

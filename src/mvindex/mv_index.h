@@ -134,7 +134,8 @@ struct MvIndexBuildStats {
   size_t plan_templates = 0;
   /// Blocks executed through a shared template (the rest — undecomposed
   /// groups, or all blocks when use_plan_templates is off — take the
-  /// classic per-block planning path).
+  /// classic per-block planning path). After ApplyStructuralDelta: the
+  /// dirty tasks that delta recompiled (clean blocks are re-extracted).
   size_t template_blocks = 0;
   /// Serial template-planning prefix of the compile phase (included in
   /// compile_seconds).
@@ -318,17 +319,11 @@ class MvIndex {
     return MVIntersectScaled(q_root).ToDouble();
   }
 
-  /// P0(Q ^ NOT W) by the cache-conscious forward sweep.
-  ScaledDouble CCMVIntersectScaled(NodeId q_root) const;
-  double CCMVIntersect(NodeId q_root) const {
-    return CCMVIntersectScaled(q_root).ToDouble();
-  }
-
-  /// Thread-safe CC sweep: the query root lives in `q.mgr` (any manager
-  /// sharing the index's variable order — serving workers synthesize query
-  /// OBDDs into private managers), and all mutable sweep state lives in the
-  /// caller-owned scratch, so concurrent calls on one index are pure reads
-  /// of the flat chain.
+  /// P0(Q ^ NOT W) by the cache-conscious forward sweep. The query root
+  /// lives in `q.mgr` (any manager sharing the index's variable order —
+  /// the online path synthesizes query OBDDs into fresh managers), and all
+  /// mutable sweep state lives in the caller-owned scratch, so concurrent
+  /// calls on one index are pure reads of the flat chain.
   ScaledDouble CCMVIntersectScaled(const CcQuery& q,
                                    CcSweepScratch* scratch) const;
 
@@ -453,10 +448,6 @@ class MvIndex {
   mutable std::vector<size_t> pending_patch_blocks_;
   mutable std::vector<int32_t> pending_patch_levels_;
   mutable bool weights_synced_ = false;
-
-  // Scratch backing the legacy single-manager CCMVIntersectScaled(NodeId)
-  // entry point (not thread-safe; concurrent callers pass their own).
-  mutable CcSweepScratch cc_scratch_;
 };
 
 }  // namespace mvdb

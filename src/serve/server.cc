@@ -10,14 +10,6 @@
 namespace mvdb {
 namespace {
 
-/// Clamps values that are within floating-point noise of [0, 1] (same rule
-/// as the engine's Query path — serving must emit the same bits).
-double ClampProb(double p) {
-  if (p < 0.0 && p > -1e-9) return 0.0;
-  if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
-  return p;
-}
-
 double MsBetween(std::chrono::steady_clock::time_point a,
                  std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -31,13 +23,73 @@ int NumWorkers(int requested) {
 
 }  // namespace
 
+double ClampProb(double p) {
+  if (p < 0.0 && p > -1e-9) return 0.0;
+  if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
+  return p;
+}
+
+Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
+                      EvalScratch* scratch, AnswerMap* answers,
+                      bool* plan_cache_hit) {
+  const UcqSignature sig = ComputeUcqSignature(q);
+  auto tmpl = plans->GetOrPlan(db, q, sig, EvalOptions{}, plan_cache_hit);
+  MVDB_RETURN_NOT_OK(tmpl.status());
+  // Executing with the query's own slot binding is bit-identical to
+  // Eval(q) (the plan-template invariant).
+  return (*tmpl)->Execute(sig.slots, scratch, answers);
+}
+
+void SynthesizeQuery(const Database& db, const MvIndex& index,
+                     PlanCache* plans, const Ucq& q, EvalScratch* scratch,
+                     SynthesizedQuery* out) {
+  AnswerMap answers;
+  out->status =
+      PlanAndExecute(db, plans, q, scratch, &answers, &out->plan_cache_hit);
+  if (!out->status.ok()) return;
+  out->qmgr = std::make_unique<BddManager>(index.manager().order());
+  out->heads.reserve(answers.size());
+  out->roots.reserve(answers.size());
+  for (const auto& [head, info] : answers) {
+    out->heads.push_back(head);
+    out->roots.push_back(out->qmgr->FromLineageSynthesis(info.lineage));
+  }
+}
+
+void SweepNumerators(const MvIndex& index,
+                     const std::vector<SynthesizedQuery>& queries,
+                     CcSweepScratch* scratch, std::vector<ScaledDouble>* nums) {
+  std::vector<CcQuery> roots;
+  for (const SynthesizedQuery& q : queries) {
+    if (!q.status.ok()) continue;
+    for (const NodeId r : q.roots) roots.push_back(CcQuery{q.qmgr.get(), r});
+  }
+  nums->clear();
+  if (!roots.empty()) index.CCMVIntersectBatchScaled(roots, scratch, nums);
+}
+
+Status Eq5Answers(const MvIndex& index, std::vector<std::vector<Value>>* heads,
+                  const std::vector<ScaledDouble>& nums, size_t* cursor,
+                  std::vector<AnswerProb>* answers) {
+  const ScaledDouble denom = index.ProbNotWScaled();
+  if (denom.IsZero()) {
+    return Status::Internal("P0(NOT W) = 0: the MVDB admits no possible world");
+  }
+  // The huge common block factors cancel in the ratio; only the final
+  // probability is converted back to double.
+  answers->reserve(heads->size());
+  for (size_t j = 0; j < heads->size(); ++j) {
+    answers->push_back(AnswerProb{
+        std::move((*heads)[j]),
+        ClampProb((nums[*cursor + j] / denom).ToDouble())});
+  }
+  *cursor += heads->size();
+  return Status::OK();
+}
+
 Server::Server(const Database* db, const MvIndex* index,
                const ServeOptions& options)
-    : db_(db),
-      index_(index),
-      options_(options),
-      order_(index->manager().order()),
-      denom_(index->ProbNotWScaled()) {
+    : db_(db), index_(index), options_(options) {
   if (options_.max_batch == 0) options_.max_batch = 1;
   max_inflight_ =
       options_.max_inflight > 0
@@ -114,17 +166,17 @@ std::future<ServeResult> Server::Submit(ServeRequest req) {
 }
 
 ServeResult Server::Execute(const ServeRequest& req) {
-  WorkerState state;
+  PipelineScratch scratch;
   std::vector<Pending> batch(1);
   batch[0].req = req;
   batch[0].submitted_at = Clock::now();
   std::future<ServeResult> fut = batch[0].promise.get_future();
-  ExecuteBatch(&batch, &state, /*admitted=*/false);
+  ExecuteBatch(&batch, &scratch, /*admitted=*/false);
   return fut.get();
 }
 
 void Server::WorkerLoop() {
-  WorkerState state;
+  PipelineScratch scratch;
   for (;;) {
     std::vector<Pending> batch;
     {
@@ -140,7 +192,7 @@ void Server::WorkerLoop() {
       }
       ++executing_;
     }
-    ExecuteBatch(&batch, &state);
+    ExecuteBatch(&batch, &scratch);
     {
       std::lock_guard<std::mutex> lock(mu_);
       --executing_;
@@ -149,63 +201,27 @@ void Server::WorkerLoop() {
   }
 }
 
-void Server::EvalRequest(const Ucq& q, WorkerState* state, EvalOutcome* out) {
-  AnswerMap answers;
-  const EvalOptions eopts{};  // serial per request; concurrency across requests
-  const UcqSignature sig = ComputeUcqSignature(q);
-  bool hit = false;
-  auto tmpl = plan_cache_->GetOrPlan(*db_, q, sig, eopts, &hit);
-  if (!tmpl.ok()) {
-    out->status = tmpl.status();
-    return;
-  }
-  out->cache_hit = hit;
-  // Plan + Execute(own slots) is bit-identical to Eval, so the cache can
-  // only change planning cost, never answers.
-  out->status = (*tmpl)->Execute(sig.slots, &state->eval, &answers);
-  if (!out->status.ok()) return;
-
-  // Fresh per-request manager sharing the immutable VarOrder: NodeIds (and
-  // with them every downstream hash-map iteration order in the CC sweep)
-  // depend only on this request's canonical lineages — the serving
-  // bit-identity invariant.
-  out->qmgr = std::make_unique<BddManager>(order_);
-  out->heads.reserve(answers.size());
-  out->roots.reserve(answers.size());
-  for (const auto& [head, info] : answers) {
-    out->heads.push_back(head);
-    out->roots.push_back(out->qmgr->FromLineageSynthesis(info.lineage));
-  }
-}
-
-void Server::ExecuteBatch(std::vector<Pending>* batch, WorkerState* state,
-                          bool admitted) {
+void Server::ExecuteBatch(std::vector<Pending>* batch,
+                          PipelineScratch* scratch, bool admitted) {
   const Clock::time_point dequeued_at = Clock::now();
   const size_t n = batch->size();
-  std::vector<EvalOutcome> outcomes(n);
-  std::vector<CcQuery> roots;
+  std::vector<SynthesizedQuery> queries(n);
 
   // Phase 1: deadline check + relational eval + per-request OBDD synthesis.
   for (size_t i = 0; i < n; ++i) {
     Pending& p = (*batch)[i];
     if (p.has_deadline && Clock::now() >= p.deadline) {
-      outcomes[i].status =
+      queries[i].status =
           Status::DeadlineExceeded("deadline expired before execution");
       continue;
     }
-    EvalRequest(p.req.query, state, &outcomes[i]);
-    if (outcomes[i].status.ok()) {
-      for (const NodeId r : outcomes[i].roots) {
-        roots.push_back(CcQuery{outcomes[i].qmgr.get(), r});
-      }
-    }
+    SynthesizeQuery(*db_, *index_, plan_cache_.get(), p.req.query,
+                    &scratch->eval, &queries[i]);
   }
 
   // Phase 2: one batched CC sweep answers every tuple of every request.
   std::vector<ScaledDouble> nums;
-  if (!roots.empty()) {
-    index_->CCMVIntersectBatchScaled(roots, &state->sweep, &nums);
-  }
+  SweepNumerators(*index_, queries, &scratch->sweep, &nums);
 
   // Phase 3: assemble Eq. 5 ratios.
   const Clock::time_point done_at = Clock::now();
@@ -213,25 +229,14 @@ void Server::ExecuteBatch(std::vector<Pending>* batch, WorkerState* state,
   size_t cursor = 0;
   std::vector<ServeResult> results(n);
   for (size_t i = 0; i < n; ++i) {
-    EvalOutcome& oc = outcomes[i];
+    SynthesizedQuery& q = queries[i];
     ServeResult& res = results[i];
-    res.status = oc.status;
-    res.plan_cache_hit = oc.cache_hit;
+    res.status = q.status;
+    res.plan_cache_hit = q.plan_cache_hit;
     res.queue_ms = MsBetween((*batch)[i].submitted_at, dequeued_at);
     res.exec_ms = MsBetween(dequeued_at, done_at);
-    if (oc.status.ok()) {
-      if (denom_.IsZero()) {
-        res.status = Status::Internal(
-            "P0(NOT W) = 0: the MVDB admits no possible world");
-      } else {
-        res.answers.reserve(oc.heads.size());
-        for (size_t j = 0; j < oc.heads.size(); ++j) {
-          res.answers.push_back(AnswerProb{
-              std::move(oc.heads[j]),
-              ClampProb((nums[cursor + j] / denom_).ToDouble())});
-        }
-        cursor += oc.heads.size();
-      }
+    if (q.status.ok()) {
+      res.status = Eq5Answers(*index_, &q.heads, nums, &cursor, &res.answers);
     }
     if (res.status.ok()) {
       ++completed;
@@ -269,9 +274,7 @@ void Server::Resume() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     MVDB_CHECK(paused_) << "Server::Resume without a matching Pause";
-    // No batch is executing, so the snapshot swap races with nothing.
-    order_ = index_->manager().order();
-    denom_ = index_->ProbNotWScaled();
+    // No batch is executing, so the warm-up races with nothing.
     db_->WarmIndexes();
     paused_ = false;
   }

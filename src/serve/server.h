@@ -15,11 +15,17 @@
 //                   answers all of their tuples in ONE CC-MVIntersect pass
 //                   over the flat chain (MvIndex::CCMVIntersectBatchScaled).
 //
-// Bit-identity invariant: every request's query OBDDs are synthesized into
-// a fresh private BddManager (sharing the index's immutable VarOrder), so
-// the NodeIds — and hence every hash-map iteration order downstream in the
-// sweep — depend only on the request itself, never on scheduling, batching,
-// or cache state. serve_concurrency_test pins this with golden hashes.
+// Each request runs the online algorithm of Section 4.3, whose only copy
+// is below (QueryEngine::Query's default backend runs it as a batch of
+// one): (1) plan through the cache and execute, (2) synthesize every
+// answer's lineage into ONE fresh BddManager over the index's order, (3)
+// one CC sweep over all roots of the batch, (4) Eq. 5 with one ClampProb.
+// The fresh manager makes NodeIds — and with them every hash-map iteration
+// order in the sweep — a function of the query alone, and a batched sweep
+// reproduces each solo sweep bit for bit, so answer bits never depend on
+// the caller, scheduling, batching, cache state, or what was asked before
+// (serve_concurrency_test pins golden hashes). The order and P0(NOT W) are
+// read off the index per batch.
 
 #ifndef MVDB_SERVE_SERVER_H_
 #define MVDB_SERVE_SERVER_H_
@@ -34,7 +40,6 @@
 #include <vector>
 
 #include "mvindex/mv_index.h"
-#include "obdd/manager.h"
 #include "query/ast.h"
 #include "query/eval.h"
 #include "relational/database.h"
@@ -43,6 +48,47 @@
 #include "util/status.h"
 
 namespace mvdb {
+
+/// Per-caller scratch of the body, kept across calls (one per serving
+/// worker, one per engine) so that no call allocates O(index).
+struct PipelineScratch {
+  EvalScratch eval;
+  CcSweepScratch sweep;
+};
+
+/// One query after steps 1-2, waiting for its sweep.
+struct SynthesizedQuery {
+  Status status;
+  bool plan_cache_hit = false;
+  std::unique_ptr<BddManager> qmgr;
+  std::vector<std::vector<Value>> heads;
+  std::vector<NodeId> roots;  ///< one per head, in qmgr
+};
+
+/// Clamps values within floating-point noise of [0, 1].
+double ClampProb(double p);
+
+/// Step 1: bit-identical to Eval(q); the cache only saves planning.
+Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
+                      EvalScratch* scratch, AnswerMap* answers,
+                      bool* plan_cache_hit = nullptr);
+
+/// Steps 1-2. Failures land in out->status.
+void SynthesizeQuery(const Database& db, const MvIndex& index,
+                     PlanCache* plans, const Ucq& q, EvalScratch* scratch,
+                     SynthesizedQuery* out);
+
+/// Step 3 for a batch: one sweep over the roots of every OK query, the
+/// numerators in query-then-answer order.
+void SweepNumerators(const MvIndex& index,
+                     const std::vector<SynthesizedQuery>& queries,
+                     CcSweepScratch* scratch, std::vector<ScaledDouble>* nums);
+
+/// Step 4 for the answer heads whose numerators start at nums[*cursor]:
+/// moves the heads into `answers` and advances the cursor past them.
+Status Eq5Answers(const MvIndex& index, std::vector<std::vector<Value>>* heads,
+                  const std::vector<ScaledDouble>& nums, size_t* cursor,
+                  std::vector<AnswerProb>* answers);
 
 struct ServeOptions {
   /// Worker threads executing requests. <= 0 = one per hardware thread.
@@ -134,10 +180,10 @@ class Server {
   /// call Execute() concurrently (it bypasses the queue and the pause).
   void Pause();
 
-  /// Re-reads the serving snapshot the constructor took from the index —
-  /// the shared VarOrder and the Eq. 5 denominator P0(NOT W) — re-warms the
-  /// database's lazy table indexes, and unparks the workers. Every request
-  /// dequeued afterwards sees the post-mutation index consistently.
+  /// Re-warms the database's lazy table indexes and unparks the workers.
+  /// The server keeps no copy of index state: every batch reads the
+  /// variable order and P0(NOT W) off the index when it runs, so every
+  /// request dequeued afterwards sees the post-mutation index.
   void Resume();
 
   /// Drops every cached plan. Only needed for structural mutations: plans
@@ -161,23 +207,7 @@ class Server {
     std::promise<ServeResult> promise;
   };
 
-  /// Per-worker reusable state: eval scratch + sweep scratch.
-  struct WorkerState {
-    EvalScratch eval;
-    CcSweepScratch sweep;
-  };
-
-  /// Relational eval + per-request OBDD synthesis (no sweep yet).
-  struct EvalOutcome {
-    Status status;
-    bool cache_hit = false;
-    std::unique_ptr<BddManager> qmgr;  ///< fresh per-request manager
-    std::vector<std::vector<Value>> heads;
-    std::vector<NodeId> roots;  ///< one per head, in qmgr
-  };
-
-  void EvalRequest(const Ucq& q, WorkerState* state, EvalOutcome* out);
-  void ExecuteBatch(std::vector<Pending>* batch, WorkerState* state,
+  void ExecuteBatch(std::vector<Pending>* batch, PipelineScratch* scratch,
                     bool admitted = true);
   void WorkerLoop();
 
@@ -185,8 +215,6 @@ class Server {
   const MvIndex* index_;
   ServeOptions options_;
   size_t max_inflight_;
-  std::shared_ptr<const VarOrder> order_;
-  ScaledDouble denom_;  ///< P0(NOT W), shared by every request
   std::unique_ptr<PlanCache> plan_cache_;
   ThreadPool pool_;
 

@@ -8,25 +8,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 
 #include "core/mvdb.h"
 #include "dblp/dblp.h"
 #include "relational/database.h"
+#include "test_util.h"
 
 namespace mvdb {
 namespace {
 
-void FnvMix(uint64_t v, uint64_t* h) {
-  *h = (*h ^ v) * 1099511628211ULL;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
+using testing_util::DoubleBits;
+using testing_util::FnvMix;
 
 /// FNV-1a over everything the generator emits: every table's rows in
 /// insertion order, per-tuple weights and variable ids, and the global

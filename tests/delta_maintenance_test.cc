@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,79 +24,18 @@
 #include "core/mvdb.h"
 #include "dblp/dblp.h"
 #include "mvindex/mv_index.h"
+#include "mvindex/partition.h"
 #include "query/eval.h"
 #include "relational/database.h"
+#include "test_util.h"
 #include "util/scaled_double.h"
 
 namespace mvdb {
 namespace {
 
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-/// Same digest as pipeline_golden_test / index_io_test: flat topology,
-/// block directory, P0(NOT W).
-uint64_t HashIndex(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  FnvMix(static_cast<uint64_t>(static_cast<int64_t>(flat.root())), &h);
-  FnvMix(flat.size(), &h);
-  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.level(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.lo(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
-  }
-  FnvMix(index.blocks().size(), &h);
-  for (const MvBlock& b : index.blocks()) {
-    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);
-    const double p = b.prob.ToDouble();
-    uint64_t bits;
-    std::memcpy(&bits, &p, sizeof(bits));
-    FnvMix(bits, &h);
-  }
-  const double not_w = index.ProbNotW();
-  uint64_t bits;
-  std::memcpy(&bits, &not_w, sizeof(bits));
-  FnvMix(bits, &h);
-  return h;
-}
-
-/// Raw-bits digest of every ScaledDouble annotation — the repair pass must
-/// replay the exact build recurrences, so not a single mantissa bit may
-/// drift.
-uint64_t HashScaledBits(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  for (size_t i = 0; i < flat.size(); ++i) {
-    const ScaledDouble pu = flat.prob_under_data()[i];
-    FnvMix(pu.mantissa_bits(), &h);
-    FnvMix(static_cast<uint64_t>(pu.exponent_word()), &h);
-  }
-  for (const MvBlock& b : index.blocks()) {
-    FnvMix(b.prob.mantissa_bits(), &h);
-    FnvMix(static_cast<uint64_t>(b.prob.exponent_word()), &h);
-  }
-  return h;
-}
-
-uint64_t HashAnswers(const std::vector<std::vector<AnswerProb>>& per_query) {
-  uint64_t h = 1469598103934665603ULL;
-  FnvMix(per_query.size(), &h);
-  for (const auto& answers : per_query) {
-    FnvMix(answers.size(), &h);
-    for (const AnswerProb& a : answers) {
-      for (const Value v : a.head) {
-        FnvMix(static_cast<uint64_t>(static_cast<int64_t>(v)), &h);
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &a.prob, sizeof(bits));
-      FnvMix(bits, &h);
-    }
-  }
-  return h;
-}
+using testing_util::HashAnswers;
+using testing_util::HashIndex;
+using testing_util::HashScaledBits;
 
 std::unique_ptr<Mvdb> BuildDblp(int authors) {
   dblp::DblpConfig cfg;
@@ -316,6 +254,48 @@ TEST(DeltaMaintenanceTest, IncrementalEqualsRebuildBitIdentically) {
 
   EXPECT_EQ(index_hash, kGoldenIndexHash);
   EXPECT_EQ(answer_hash, kGoldenAnswerHash);
+}
+
+TEST(DeltaMaintenanceTest, StructuralInsertRecompilesOnlyDirtyTasks) {
+  // One Student insert under a brand-new aid. A clean task's query and data
+  // are unchanged, so the delta recompiles only the tasks its touched tuples
+  // name — never the clean tasks absent from the chain (NOT W_b true), of
+  // which DBLP-300 has ~250.
+  const std::vector<DeltaOp> ops = {
+      BuildWorkload(BuildDblp(kAuthors)->db()).structural_ops.front()};
+  ASSERT_EQ(ops[0].table, "Student");
+  ASSERT_EQ(ops[0].kind, DeltaOp::Kind::kInsert);
+
+  auto mvdb = BuildDblp(kAuthors);
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  ASSERT_TRUE(engine.ApplyDelta(ops).ok());
+
+  // The dirty keys, derived the way the engine derives them, on an
+  // identically mutated twin that then serves as the rebuild reference.
+  Reference ref;
+  ref.mvdb = BuildDblp(kAuthors);
+  TranslateLikeCompile(ref.mvdb.get());
+  DeltaEffects effects;
+  ASSERT_TRUE(ref.mvdb->ApplyBaseDelta(ops, &effects).ok());
+  const Database& db = ref.mvdb->db();
+  std::vector<TupleRef> touched;
+  for (const VarId v : effects.new_vars) touched.push_back(db.var_tuple(v));
+  for (const VarId v : effects.changed_weight_vars) {
+    touched.push_back(db.var_tuple(v));
+  }
+  auto is_prob = [&db](const std::string& rel) {
+    const Table* t = db.Find(rel);
+    return t != nullptr && t->probabilistic();
+  };
+  const auto dirty = DirtyBlockKeys(db, ref.mvdb->W(), is_prob, touched);
+  ASSERT_FALSE(dirty.empty());
+  EXPECT_LE(engine.index().build_stats().template_blocks, dirty.size());
+
+  ref.engine = std::make_unique<QueryEngine>(ref.mvdb.get());
+  ASSERT_TRUE(ref.engine->Compile().ok());
+  EXPECT_EQ(HashIndex(engine.index()), HashIndex(ref.engine->index()));
+  EXPECT_EQ(HashScaledBits(engine.index()), HashScaledBits(ref.engine->index()));
 }
 
 TEST(DeltaMaintenanceTest, WeightDeltaSurvivesPatchFileRoundTrip) {

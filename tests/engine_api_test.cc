@@ -111,6 +111,55 @@ TEST(ExplainTest, ReportsLineageAndBlockStats) {
   EXPECT_FALSE(ex->safe_with_views);
 }
 
+TEST(OnlinePathTest, DefaultBackendNeverGrowsTheEngineManager) {
+  // The default backend synthesizes into a fresh manager per query, so the
+  // engine's own manager (the oracle backends' workspace) stays the size
+  // Compile left it, however many questions the engine answers.
+  auto mvdb = dblp::BuildDblpMvdb(
+      dblp::DblpConfig{.num_authors = 400, .include_affiliation = true},
+      nullptr);
+  ASSERT_TRUE(mvdb.ok());
+  QueryEngine engine(mvdb->get());
+  ASSERT_TRUE(engine.Compile().ok());
+  const size_t created = engine.manager().num_created();
+
+  const Table* advisor = (*mvdb)->db().Find("Advisor");
+  const Table* aff = (*mvdb)->db().Find("Affiliation");
+  ASSERT_GE(advisor->size(), 20u);
+  ASSERT_GE(aff->size(), 10u);
+  std::vector<Ucq> queries;
+  for (size_t i = 0; i < 20; ++i) {
+    const Value senior = advisor->At(static_cast<RowId>(i), 1);
+    queries.push_back(dblp::StudentsOfAdvisorQuery(
+        mvdb->get(), dblp::AuthorName(static_cast<int>(senior))));
+  }
+  for (size_t i = 0; i < 10; ++i) {
+    const Value aid = aff->At(static_cast<RowId>(i), 0);
+    queries.push_back(dblp::AffiliationOfAuthorQuery(
+        mvdb->get(), dblp::AuthorName(static_cast<int>(aid))));
+  }
+  size_t answered = 0;
+  for (const Ucq& q : queries) {
+    auto answers = engine.Query(q);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    answered += answers->size();
+    ASSERT_TRUE(engine.QueryTopK(q, 2).ok());
+    Ucq boolean_q = q;
+    boolean_q.head_vars.clear();
+    auto p = engine.QueryBoolean(boolean_q);
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    if (*p > 0.0) {
+      ASSERT_TRUE(engine.ConditionalBoolean(boolean_q, boolean_q).ok());
+    }
+  }
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(engine.manager().num_created(), created);
+
+  // The oracles still build there.
+  ASSERT_TRUE(engine.Query(queries.front(), Backend::kMvIndex).ok());
+  EXPECT_GT(engine.manager().num_created(), created);
+}
+
 TEST(ExplainTest, SafeQueryDetected) {
   Mvdb mvdb;
   Database& db = mvdb.db();

@@ -25,82 +25,20 @@
 #include "mvindex/mv_index.h"
 #include "query/eval.h"
 #include "serve/server.h"
+#include "test_util.h"
 #include "util/scaled_double.h"
 
 namespace mvdb {
 namespace {
 
+using testing_util::HashAnswers;
+using testing_util::HashIndex;
+using testing_util::HashScaledBits;
+
 double ClampProb(double p) {
   if (p < 0.0 && p > -1e-9) return 0.0;
   if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
   return p;
-}
-
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-/// Same digest as pipeline_golden_test::HashIndex — the full compiled
-/// image: flat topology, block directory, P0(NOT W).
-uint64_t HashIndex(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  FnvMix(static_cast<uint64_t>(static_cast<int64_t>(flat.root())), &h);
-  FnvMix(flat.size(), &h);
-  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.level(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.lo(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
-  }
-  FnvMix(index.blocks().size(), &h);
-  for (const MvBlock& b : index.blocks()) {
-    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);
-    const double p = b.prob.ToDouble();
-    uint64_t bits;
-    std::memcpy(&bits, &p, sizeof(bits));
-    FnvMix(bits, &h);
-  }
-  const double not_w = index.ProbNotW();
-  uint64_t bits;
-  std::memcpy(&bits, &not_w, sizeof(bits));
-  FnvMix(bits, &h);
-  return h;
-}
-
-/// Raw-bits digest of every ScaledDouble the index holds (annotations +
-/// block probabilities) — the satellite pin for the bit-exact serialize/
-/// deserialize path: no double<->text conversion can survive this.
-uint64_t HashScaledBits(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  for (size_t i = 0; i < flat.size(); ++i) {
-    const ScaledDouble pu = flat.prob_under_data()[i];
-    FnvMix(pu.mantissa_bits(), &h);
-    FnvMix(static_cast<uint64_t>(pu.exponent_word()), &h);
-  }
-  for (const MvBlock& b : index.blocks()) {
-    FnvMix(b.prob.mantissa_bits(), &h);
-    FnvMix(static_cast<uint64_t>(b.prob.exponent_word()), &h);
-  }
-  return h;
-}
-
-uint64_t HashAnswers(const std::vector<std::vector<AnswerProb>>& per_query) {
-  uint64_t h = 1469598103934665603ULL;
-  FnvMix(per_query.size(), &h);
-  for (const auto& answers : per_query) {
-    FnvMix(answers.size(), &h);
-    for (const AnswerProb& a : answers) {
-      for (const Value v : a.head) {
-        FnvMix(static_cast<uint64_t>(static_cast<int64_t>(v)), &h);
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &a.prob, sizeof(bits));
-      FnvMix(bits, &h);
-    }
-  }
-  return h;
 }
 
 /// Golden hash of the DBLP-400 serial reference answers — the same value

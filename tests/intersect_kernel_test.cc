@@ -31,30 +31,13 @@
 namespace mvdb {
 namespace {
 
+using testing_util::HashAnswers;
+
 /// Same clamp rule as the engine/server (noise at the [0,1] borders).
 double ClampProb(double p) {
   if (p < 0.0 && p > -1e-9) return 0.0;
   if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
   return p;
-}
-
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-uint64_t HashAnswers(const std::vector<std::vector<AnswerProb>>& per_query) {
-  uint64_t h = 1469598103934665603ULL;
-  FnvMix(per_query.size(), &h);
-  for (const auto& answers : per_query) {
-    FnvMix(answers.size(), &h);
-    for (const AnswerProb& a : answers) {
-      for (const Value v : a.head) {
-        FnvMix(static_cast<uint64_t>(static_cast<int64_t>(v)), &h);
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &a.prob, sizeof(bits));
-      FnvMix(bits, &h);
-    }
-  }
-  return h;
 }
 
 bool SameBits(const ScaledDouble& a, const ScaledDouble& b) {

@@ -83,13 +83,16 @@ TEST_P(ParallelBuildParityTest, ShardedBuildIsBitIdenticalToSerial) {
       "Q :- R(1).",
       "Q :- S(2,y), R(y).",
   };
+  CcSweepScratch scratch;
   for (const char* qs : queries) {
     Ucq q = MustParse(qs, &mvdb->db().dict());
     const Lineage lin = *EvalBoolean(mvdb->db(), q);
     const NodeId b1 = serial.manager().FromLineageSynthesis(lin);
     const NodeId b2 = sharded.manager().FromLineageSynthesis(lin);
-    EXPECT_TRUE(serial.index().CCMVIntersectScaled(b1) ==
-                sharded.index().CCMVIntersectScaled(b2))
+    EXPECT_TRUE(serial.index().CCMVIntersectScaled(
+                    CcQuery{&serial.manager(), b1}, &scratch) ==
+                sharded.index().CCMVIntersectScaled(
+                    CcQuery{&sharded.manager(), b2}, &scratch))
         << qs;
     EXPECT_TRUE(serial.index().MVIntersectScaled(b1) ==
                 sharded.index().MVIntersectScaled(b2))

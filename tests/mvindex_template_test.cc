@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 
@@ -26,43 +25,10 @@
 namespace mvdb {
 namespace {
 
+using testing_util::HashIndex;
 using testing_util::MustParse;
 using testing_util::RandomMvdb;
 using testing_util::RandomMvdbSpec;
-
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-/// Hashes the full compiled index: flat topology (levels, edges, root),
-/// per-block metadata (keys, chain roots, level ranges, probability bits),
-/// and P0(NOT W) — any divergence between the template and classic compile
-/// paths shows up here.
-uint64_t HashIndex(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  FnvMix(static_cast<uint64_t>(static_cast<int64_t>(flat.root())), &h);
-  FnvMix(flat.size(), &h);
-  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.level(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.lo(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
-  }
-  FnvMix(index.blocks().size(), &h);
-  for (const MvBlock& b : index.blocks()) {
-    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);
-    const double p = b.prob.ToDouble();
-    uint64_t bits;
-    std::memcpy(&bits, &p, sizeof(bits));
-    FnvMix(bits, &h);
-  }
-  const double not_w = index.ProbNotW();
-  uint64_t bits;
-  std::memcpy(&bits, &not_w, sizeof(bits));
-  FnvMix(bits, &h);
-  return h;
-}
 
 struct BuildOutcome {
   uint64_t hash = 0;

@@ -10,46 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 
 #include "core/engine.h"
 #include "dblp/dblp.h"
+#include "test_util.h"
 
 namespace mvdb {
 namespace {
 
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-/// Hashes the full compiled index: flat topology (levels, edges, root),
-/// per-block metadata (chain roots, level ranges, probability bits), and
-/// P0(NOT W).
-uint64_t HashIndex(const MvIndex& index) {
-  uint64_t h = 1469598103934665603ULL;
-  const FlatObdd& flat = index.flat();
-  FnvMix(static_cast<uint64_t>(static_cast<int64_t>(flat.root())), &h);
-  FnvMix(flat.size(), &h);
-  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.level(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.lo(u))), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
-  }
-  FnvMix(index.blocks().size(), &h);
-  for (const MvBlock& b : index.blocks()) {
-    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
-    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);
-    const double p = b.prob.ToDouble();
-    uint64_t bits;
-    std::memcpy(&bits, &p, sizeof(bits));
-    FnvMix(bits, &h);
-  }
-  const double not_w = index.ProbNotW();
-  uint64_t bits;
-  std::memcpy(&bits, &not_w, sizeof(bits));
-  FnvMix(bits, &h);
-  return h;
-}
+using testing_util::HashIndex;
 
 uint64_t BuildAndHash(int threads) {
   dblp::DblpConfig cfg;

@@ -3,14 +3,17 @@
 // hammer Eval + CC-MVIntersect on one shared index through a Server, across
 // worker counts {1, 2, 8, 0}, with batching on and off — and every single
 // result must be bit-identical to the serial first-principles evaluation
-// (Eval + fresh-manager synthesis + solo CC sweep). The serial reference itself is pinned by a golden hash, so a
-// change that silently moves answer bits fails even with the concurrency
-// machinery agreeing with itself. Runs under the TSan CI job.
+// (Eval + fresh-manager synthesis + solo CC sweep). The serial reference
+// itself is pinned by a golden hash, so a change that silently moves answer
+// bits fails even with the concurrency machinery agreeing with itself.
+// QueryEngine::Query runs the same body and is pinned to the same bits.
+// Runs under the TSan CI job.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,30 +29,13 @@
 namespace mvdb {
 namespace {
 
+using testing_util::HashAnswers;
+
 /// Same clamp rule as the engine/server (noise at the [0,1] borders).
 double ClampProb(double p) {
   if (p < 0.0 && p > -1e-9) return 0.0;
   if (p > 1.0 && p < 1.0 + 1e-9) return 1.0;
   return p;
-}
-
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-uint64_t HashAnswers(const std::vector<std::vector<AnswerProb>>& per_query) {
-  uint64_t h = 1469598103934665603ULL;
-  FnvMix(per_query.size(), &h);
-  for (const auto& answers : per_query) {
-    FnvMix(answers.size(), &h);
-    for (const AnswerProb& a : answers) {
-      for (const Value v : a.head) {
-        FnvMix(static_cast<uint64_t>(static_cast<int64_t>(v)), &h);
-      }
-      uint64_t bits;
-      std::memcpy(&bits, &a.prob, sizeof(bits));
-      FnvMix(bits, &h);
-    }
-  }
-  return h;
 }
 
 bool BitEqual(const std::vector<AnswerProb>& a,
@@ -266,21 +252,78 @@ TEST(ServeConcurrencyTest, BatchedSweepMatchesSoloSweepPerRoot) {
   }
 }
 
-TEST(ServeConcurrencyTest, EngineQueryAgreesWithServingWithinTolerance) {
-  // The engine's own Query() path synthesizes into the big shared manager,
-  // whose NodeIds (and so accumulation orders) differ from the fresh
-  // per-request managers — agreement is to floating-point accuracy, not
-  // bitwise; both are pinned against the same mathematical value.
+TEST(ServeConcurrencyTest, EngineQueryMatchesReferenceBitwise) {
+  // QueryEngine::Query runs the serving body (fresh manager per query, one
+  // batched sweep), so its answers carry the serial reference's bits.
   SharedWorkload& s = Shared();
-  for (size_t i = 0; i < s.queries.size(); ++i) {
-    auto engine_answers = s.engine->Query(s.queries[i], Backend::kMvIndexCC);
-    ASSERT_TRUE(engine_answers.ok());
-    ASSERT_EQ(engine_answers->size(), s.reference[i].size());
-    for (size_t j = 0; j < s.reference[i].size(); ++j) {
-      EXPECT_EQ((*engine_answers)[j].head, s.reference[i][j].head);
-      EXPECT_NEAR((*engine_answers)[j].prob, s.reference[i][j].prob, 1e-9);
-    }
+  std::vector<std::vector<AnswerProb>> engine_answers;
+  for (const Ucq& q : s.queries) {
+    auto answers = s.engine->Query(q);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    engine_answers.push_back(std::move(answers).value());
   }
+  EXPECT_EQ(HashAnswers(engine_answers), kGoldenAnswers);
+}
+
+TEST(ServeConcurrencyTest, EngineEqualsServerOnRandomMvdbs) {
+  // Random small MVDBs (mostly non-zero view weights, so W spans many
+  // blocks) and UCQs with self-joins and unions. QueryEngine::Query must
+  // return Server::Execute's bits, and an engine's answers must not depend
+  // on what it was asked before: a second engine asked the same queries in
+  // reverse order returns the same bits.
+  const char* const kQueries[] = {
+      "Q(x) :- S(x,y), S(y,z), R(z).",
+      "Q(x) :- R(x), S(x,y).",
+      "Q(y) :- S(x,y), R(x), R(y).",
+      "Q(x,y) :- S(x,y), S(y,x).",
+      "Q(x) :- S(x,y), R(y). Q(x) :- R(x), S(y,x).",
+      "Q(z) :- S(x,y), S(y,z).",
+      "Q :- R(x), S(x,y), S(y,z), R(z).",
+      "Q(x) :- S(x,x).",
+  };
+  constexpr size_t kNumQueries = std::size(kQueries);
+  size_t answers_checked = 0;
+  for (uint64_t seed = 5001; seed <= 5012; ++seed) {
+    Rng rng(seed);
+    testing_util::RandomMvdbSpec spec;
+    spec.domain = 5 + static_cast<int>(rng.Below(4));
+    spec.denial_chance = 0.1;
+    auto mvdb = testing_util::RandomMvdb(&rng, spec);
+    std::vector<Ucq> queries;
+    for (const char* text : kQueries) {
+      queries.push_back(testing_util::MustParse(text, &mvdb->db().dict()));
+    }
+    QueryEngine forward(mvdb.get());
+    ASSERT_TRUE(forward.Compile().ok());
+    QueryEngine backward(mvdb.get());
+    ASSERT_TRUE(backward.Compile().ok());
+    ServeOptions opts;
+    opts.start_workers = false;
+    auto server = forward.Serve(opts);
+    ASSERT_TRUE(server.ok());
+
+    std::vector<std::vector<AnswerProb>> fwd(kNumQueries), bwd(kNumQueries),
+        served(kNumQueries);
+    for (size_t i = 0; i < kNumQueries; ++i) {
+      auto answers = forward.Query(queries[i]);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      fwd[i] = std::move(answers).value();
+      answers_checked += fwd[i].size();
+    }
+    for (size_t i = kNumQueries; i-- > 0;) {
+      auto answers = backward.Query(queries[i]);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      bwd[i] = std::move(answers).value();
+    }
+    for (size_t i = 0; i < kNumQueries; ++i) {
+      ServeResult res = (*server)->Execute(ServeRequest{queries[i], 0});
+      ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+      served[i] = std::move(res.answers);
+    }
+    EXPECT_EQ(HashAnswers(fwd), HashAnswers(served)) << "seed " << seed;
+    EXPECT_EQ(HashAnswers(fwd), HashAnswers(bwd)) << "seed " << seed;
+  }
+  EXPECT_GT(answers_checked, 500u);
 }
 
 }  // namespace

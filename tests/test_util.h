@@ -1,16 +1,21 @@
 // Copyright 2026 The MarkoView Authors.
 //
-// Shared helpers for the test suite: tiny databases, random lineages, and
-// random MVDB instances for the property tests.
+// Shared helpers for the test suite: tiny databases, random lineages,
+// random MVDB instances for the property tests, and the FNV-1a digests the
+// golden hashes are pinned with.
 
 #ifndef MVDB_TESTS_TEST_UTIL_H_
 #define MVDB_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "core/mvdb.h"
+#include "mvindex/mv_index.h"
 #include "prob/lineage.h"
+#include "query/eval.h"
 #include "query/parser.h"
 #include "relational/database.h"
 #include "util/logging.h"
@@ -107,6 +112,78 @@ inline std::unique_ptr<Mvdb> RandomMvdb(Rng* rng, const RandomMvdbSpec& spec) {
                                                  view_weight())).ok());
   }
   return mvdb;
+}
+
+/// One FNV-1a step (64-bit prime); digests start from 1469598103934665603.
+inline void FnvMix(uint64_t v, uint64_t* h) {
+  *h = (*h ^ v) * 1099511628211ULL;
+}
+
+inline uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+/// Every answer's head values and probability bits, query by query: equal
+/// digests mean bit-identical answers.
+inline uint64_t HashAnswers(
+    const std::vector<std::vector<AnswerProb>>& per_query) {
+  uint64_t h = 1469598103934665603ULL;
+  FnvMix(per_query.size(), &h);
+  for (const auto& answers : per_query) {
+    FnvMix(answers.size(), &h);
+    for (const AnswerProb& a : answers) {
+      for (const Value v : a.head) {
+        FnvMix(static_cast<uint64_t>(static_cast<int64_t>(v)), &h);
+      }
+      FnvMix(DoubleBits(a.prob), &h);
+    }
+  }
+  return h;
+}
+
+/// The full compiled index: flat topology (root, levels, edges), the block
+/// directory (keys, chain roots, level ranges, probability bits), and
+/// P0(NOT W).
+inline uint64_t HashIndex(const MvIndex& index) {
+  uint64_t h = 1469598103934665603ULL;
+  const FlatObdd& flat = index.flat();
+  FnvMix(static_cast<uint64_t>(static_cast<int64_t>(flat.root())), &h);
+  FnvMix(flat.size(), &h);
+  for (FlatId u = 0; u < static_cast<FlatId>(flat.size()); ++u) {
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.level(u))), &h);
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.lo(u))), &h);
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
+  }
+  FnvMix(index.blocks().size(), &h);
+  for (const MvBlock& b : index.blocks()) {
+    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
+    FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);
+    FnvMix(DoubleBits(b.prob.ToDouble()), &h);
+  }
+  FnvMix(DoubleBits(index.ProbNotW()), &h);
+  return h;
+}
+
+/// Raw bits of every ScaledDouble the index holds (probUnder annotations +
+/// block probabilities): no mantissa bit may drift through a repair, a
+/// save/load round trip, or a text conversion.
+inline uint64_t HashScaledBits(const MvIndex& index) {
+  uint64_t h = 1469598103934665603ULL;
+  const FlatObdd& flat = index.flat();
+  for (size_t i = 0; i < flat.size(); ++i) {
+    const ScaledDouble pu = flat.prob_under_data()[i];
+    FnvMix(pu.mantissa_bits(), &h);
+    FnvMix(static_cast<uint64_t>(pu.exponent_word()), &h);
+  }
+  for (const MvBlock& b : index.blocks()) {
+    FnvMix(b.prob.mantissa_bits(), &h);
+    FnvMix(static_cast<uint64_t>(b.prob.exponent_word()), &h);
+  }
+  return h;
 }
 
 }  // namespace testing_util

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -24,15 +23,9 @@
 namespace mvdb {
 namespace {
 
+using testing_util::DoubleBits;
+using testing_util::FnvMix;
 using testing_util::MustParse;
-
-void FnvMix(uint64_t v, uint64_t* h) { *h = (*h ^ v) * 1099511628211ULL; }
-
-uint64_t DoubleBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
 
 /// FNV-1a over every table's rows (insertion order), per-tuple weights and
 /// variable ids, and the variable registry. Post-translation this covers
