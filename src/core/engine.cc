@@ -12,6 +12,25 @@
 #include "util/timer.h"
 
 namespace mvdb {
+namespace {
+
+/// Lineage of Q1 ^ Q2: the cross product of the two clause sets.
+Lineage ConjoinLineages(const Lineage& a, const Lineage& b) {
+  Lineage out;
+  for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t j = 0; j < b.size(); ++j) {
+      Clause pos = a.clauses()[i];
+      pos.insert(pos.end(), b.clauses()[j].begin(), b.clauses()[j].end());
+      Clause neg = a.neg_clauses()[i];
+      neg.insert(neg.end(), b.neg_clauses()[j].begin(),
+                 b.neg_clauses()[j].end());
+      out.AddSignedClause(std::move(pos), std::move(neg));
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Status QueryEngine::Compile(const CompileOptions& options) {
   if (compiled()) return Status::OK();
@@ -333,31 +352,33 @@ StatusOr<ScaledDouble> QueryEngine::Numerator(const Lineage& q_lineage,
 StatusOr<std::vector<AnswerProb>> QueryEngine::Query(const Ucq& q,
                                                      Backend backend) {
   MVDB_RETURN_NOT_OK(Compile());
-  std::vector<std::vector<Value>> heads;
-  std::vector<ScaledDouble> nums;
-  if (backend == Backend::kMvIndexCC) {  // the serving path, a batch of one
-    std::vector<SynthesizedQuery> one(1);
-    SynthesizeQuery(mvdb_->db(), *index_, plan_cache_.get(), q, &scratch_.eval,
-                    &one[0]);
-    MVDB_RETURN_NOT_OK(one[0].status);
-    SweepNumerators(*index_, one, &scratch_.sweep, &nums);
-    heads = std::move(one[0].heads);
-  } else {
-    AnswerMap answers;
-    MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
-    for (const auto& [head, info] : answers) {
-      const Ucq grounded =
-          backend == Backend::kSafePlan ? GroundHead(q, head) : Ucq{};
-      MVDB_ASSIGN_OR_RETURN(ScaledDouble num,
-                            Numerator(info.lineage, grounded, backend));
-      heads.push_back(head);
-      nums.push_back(num);
-    }
-  }
-  // One Eq. 5 step for every backend: for numerators computed in plain
-  // double, the extended-range quotient has the plain quotient's bits.
   std::vector<AnswerProb> out;
   size_t cursor = 0;
+  if (backend == Backend::kMvIndexCC) {  // the serving path, a batch of one
+    scratch_.queries.resize(1);
+    SynthesizedQuery& one = scratch_.queries[0];
+    SynthesizeQuery(mvdb_->db(), *index_, plan_cache_.get(), q, &scratch_, 0,
+                    &one);
+    MVDB_RETURN_NOT_OK(one.status);
+    SweepNumerators(*index_, std::span(&one, 1), &scratch_, &scratch_.nums);
+    MVDB_RETURN_NOT_OK(
+        Eq5Answers(*index_, &one.heads, scratch_.nums, &cursor, &out));
+    return out;
+  }
+  std::vector<std::vector<Value>> heads;
+  std::vector<ScaledDouble> nums;
+  AnswerMap answers;
+  MVDB_RETURN_NOT_OK(CachedEval(q, &answers));
+  for (const auto& [head, info] : answers) {
+    const Ucq grounded =
+        backend == Backend::kSafePlan ? GroundHead(q, head) : Ucq{};
+    MVDB_ASSIGN_OR_RETURN(ScaledDouble num,
+                          Numerator(info.lineage, grounded, backend));
+    heads.push_back(head);
+    nums.push_back(num);
+  }
+  // The same Eq. 5 step as the serving path: for numerators computed in
+  // plain double, the extended-range quotient has the plain quotient's bits.
   MVDB_RETURN_NOT_OK(Eq5Answers(*index_, &heads, nums, &cursor, &out));
   return out;
 }
@@ -367,33 +388,45 @@ StatusOr<double> QueryEngine::ConditionalBoolean(const Ucq& q1, const Ucq& q2,
   if (!q1.IsBoolean() || !q2.IsBoolean()) {
     return Status::InvalidArgument("ConditionalBoolean requires Boolean queries");
   }
+  if (backend == Backend::kSafePlan) {
+    return Status::Unimplemented(
+        "no lifted plan for the conjunction of two UCQs");
+  }
   MVDB_RETURN_NOT_OK(Compile());
   MVDB_ASSIGN_OR_RETURN(Lineage lin1, CachedEvalBoolean(q1));
   MVDB_ASSIGN_OR_RETURN(Lineage lin2, CachedEvalBoolean(q2));
   // Numerators share the denominator P0(NOT W), which cancels:
   // P(Q1 | Q2) = P0(Q1 ^ Q2 ^ !W) / P0(Q2 ^ !W).
-  // The serving path synthesizes into one fresh manager and sweeps both
-  // roots in one batch; the oracles build in the engine's own manager.
-  std::optional<BddManager> fresh;
-  if (backend == Backend::kMvIndexCC) fresh.emplace(index_->manager().order());
-  BddManager& m = fresh.has_value() ? *fresh : *mgr_;
-  const NodeId b1 = m.FromLineageSynthesis(lin1);
-  const NodeId b2 = m.FromLineageSynthesis(lin2);
-  const NodeId joint = m.And(b1, b2);
   ScaledDouble num, den;
-  if (backend == Backend::kMvIndexCC) {
-    std::vector<ScaledDouble> nums;
-    index_->CCMVIntersectBatchScaled({{&m, joint}, {&m, b2}}, &scratch_.sweep,
-                                     &nums);
-    num = nums[0];
-    den = nums[1];
-  } else if (backend == Backend::kMvIndex) {
-    num = index_->MVIntersectScaled(joint);
-    den = index_->MVIntersectScaled(b2);
+  if (backend == Backend::kBruteForce) {
+    MVDB_ASSIGN_OR_RETURN(const Lineage* w_lin, WLineage());
+    num = ScaledDouble(BruteForceProbAndNot(ConjoinLineages(lin1, lin2),
+                                            *w_lin, var_probs_));
+    den = ScaledDouble(BruteForceProbAndNot(lin2, *w_lin, var_probs_));
   } else {
-    const NodeId not_w = index_->EnsureChainImported();
-    num = m.ProbScaled(m.And(joint, not_w), var_probs_);
-    den = m.ProbScaled(m.And(b2, not_w), var_probs_);
+    // The serving path synthesizes into the pooled manager of slot 0 and
+    // sweeps both roots in one batch; the other oracles build in the
+    // engine's own manager.
+    BddManager& m =
+        backend == Backend::kMvIndexCC
+            ? *scratch_.BorrowManager(0, index_->manager().order())
+            : *mgr_;
+    const NodeId b1 = m.FromLineageSynthesis(lin1);
+    const NodeId b2 = m.FromLineageSynthesis(lin2);
+    const NodeId joint = m.And(b1, b2);
+    if (backend == Backend::kMvIndexCC) {
+      index_->CCMVIntersectBatchScaled({{&m, joint}, {&m, b2}},
+                                       &scratch_.sweep, &scratch_.nums);
+      num = scratch_.nums[0];
+      den = scratch_.nums[1];
+    } else if (backend == Backend::kMvIndex) {
+      num = index_->MVIntersectScaled(joint);
+      den = index_->MVIntersectScaled(b2);
+    } else {
+      const NodeId not_w = index_->EnsureChainImported();
+      num = m.ProbScaled(m.And(joint, not_w), var_probs_);
+      den = m.ProbScaled(m.And(b2, not_w), var_probs_);
+    }
   }
   if (den.IsZero()) {
     return Status::InvalidArgument("conditioning event has probability zero");

@@ -46,12 +46,13 @@ namespace mvdb {
 
 /// Numerator evaluation strategy for Eq. 5. kMvIndexCC is the serving path;
 /// the others are oracles for tests and bench_ablation_backends that agree
-/// with it to 1e-9 (they build query OBDDs in the engine's manager()).
+/// with it to 1e-9 (the OBDD ones build query OBDDs in the engine's
+/// manager()).
 enum class Backend {
   kBruteForce,   ///< exhaustive enumeration over the joint lineage (tests)
   kObddReuse,    ///< synthesis of Q against the precompiled W OBDD
   kMvIndex,      ///< MV-index, top-down MVIntersect
-  kMvIndexCC,    ///< serving path: fresh manager + batched CC sweep
+  kMvIndexCC,    ///< serving path: pooled reset manager + batched CC sweep
   kSafePlan,     ///< lifted inference on Q v W and W (safe queries only)
 };
 
@@ -151,8 +152,10 @@ class QueryEngine {
 
   /// Conditional probability P(Q1 | Q2) on the MVDB: by Theorem 1 this is
   /// P0(Q1 ^ Q2 ^ NOT W) / P0(Q2 ^ NOT W) — on kMvIndexCC, one batched sweep
-  /// of both roots in one fresh manager. Both queries must be Boolean.
-  /// Returns InvalidArgument when P(Q2) = 0.
+  /// of both roots in one pooled manager; on kBruteForce, enumeration over
+  /// the cross product of the two lineages. Both queries must be Boolean.
+  /// Returns InvalidArgument when P(Q2) = 0, and Unimplemented on
+  /// kSafePlan (there is no lifted plan for a conjunction of two UCQs).
   StatusOr<double> ConditionalBoolean(const Ucq& q1, const Ucq& q2,
                                       Backend backend = Backend::kMvIndexCC);
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <memory_resource>
+#include <new>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -775,7 +777,7 @@ size_t MvIndex::BlockOf(FlatId u, size_t from) const {
 }
 
 double MvIndex::ProbQ(const BddManager& qmgr, NodeId q,
-                      std::unordered_map<NodeId, double>* memo) const {
+                      std::pmr::unordered_map<NodeId, double>* memo) const {
   if (q == BddManager::kFalse) return 0.0;
   if (q == BddManager::kTrue) return 1.0;
   auto it = memo->find(q);
@@ -795,12 +797,56 @@ uint64_t PairKey(NodeId q, FlatId u) {
          static_cast<uint32_t>(u);
 }
 
+/// Memory of one sweep's per-root state (the ItemState maps and memos).
+/// Blocks are bump-allocated from the caller's scratch buffer, and from
+/// the heap once it is full. Freed small blocks (map nodes, small bucket
+/// arrays) go on per-size free lists and are handed out again, so a long
+/// sweep that clears and refills its maps stays within its live size
+/// instead of bumping through one block per insert. Only the addresses
+/// differ from heap-backed maps: the hash, the rehash policy and with them
+/// every bucket and iteration order are the same.
+class SweepArena final : public std::pmr::memory_resource {
+ public:
+  SweepArena(std::byte* buf, size_t bytes) : bump_(buf, bytes) {}
+
+ private:
+  static constexpr size_t kGrain = 16;
+  static constexpr size_t kClasses = 8;  // recycled sizes: 16..128 bytes
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  static size_t ClassOf(size_t n, size_t align) {
+    const size_t c = (n + kGrain - 1) / kGrain;
+    return c == 0 || c > kClasses || align > kGrain ? kClasses : c - 1;
+  }
+  void* do_allocate(size_t n, size_t align) override {
+    const size_t c = ClassOf(n, align);
+    if (c == kClasses) return bump_.allocate(n, align);
+    if (FreeBlock* b = free_[c]) {
+      free_[c] = b->next;
+      return b;
+    }
+    return bump_.allocate((c + 1) * kGrain, kGrain);
+  }
+  void do_deallocate(void* p, size_t n, size_t align) override {
+    const size_t c = ClassOf(n, align);
+    if (c < kClasses) free_[c] = ::new (p) FreeBlock{free_[c]};
+  }
+  bool do_is_equal(const memory_resource& o) const noexcept override {
+    return this == &o;
+  }
+
+  std::pmr::monotonic_buffer_resource bump_;
+  FreeBlock* free_[kClasses] = {};
+};
+
 }  // namespace
 
 ScaledDouble MvIndex::MVIntersectScaled(NodeId q_root) const {
   if (q_root == BddManager::kFalse) return ScaledDouble::Zero();
   if (q_root == BddManager::kTrue) return ProbNotWScaled();
-  std::unordered_map<NodeId, double> qmemo;
+  std::pmr::unordered_map<NodeId, double> qmemo;
   ScaledDouble prefix;
   FlatId start;
   FastForward(mgr_->level(q_root), &prefix, &start);
@@ -866,30 +912,63 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
   // the merge/expand maps (whose iteration order is a function of the
   // NodeIds inserted), the query-side memo, the running total — is private
   // to the root, so each root sees exactly the operation sequence of the
-  // solo sweep regardless of what else shares the pass.
+  // solo sweep regardless of what else shares the pass. The maps are built
+  // fresh on every call, on one arena (so merged.swap(next_level) stays
+  // defined), and the arena goes away with the call.
+  if (scratch->arena == nullptr) {
+    scratch->arena = std::make_unique_for_overwrite<std::byte[]>(
+        CcSweepScratch::kArenaBytes);
+  }
+  SweepArena mem(scratch->arena.get(), CcSweepScratch::kArenaBytes);
   struct ItemState {
+    explicit ItemState(std::pmr::memory_resource* r)
+        : qmemo(r), merged(r), next_level(r) {}
     ScaledDouble prefix;
     ScaledDouble total;
-    std::unordered_map<NodeId, double> qmemo;
-    std::unordered_map<NodeId, ScaledDouble> merged;
-    std::unordered_map<NodeId, ScaledDouble> next_level;
+    std::pmr::unordered_map<NodeId, double> qmemo;
+    std::pmr::unordered_map<NodeId, ScaledDouble> merged;
+    std::pmr::unordered_map<NodeId, ScaledDouble> next_level;
     bool active = false;
   };
-  std::vector<ItemState> items(n);
+  std::pmr::vector<ItemState> items(&mem);
+  items.reserve(n);
+  for (size_t i = 0; i < n; ++i) items.emplace_back(&mem);
 
-  auto& buckets = scratch->buckets;
-  if (buckets.size() < flat_->size()) buckets.resize(flat_->size());
+  // The entry store: each flat node's entries form a chain, oldest first,
+  // linked through one arena, so a node's visit reads them in push order —
+  // the order of the per-node vectors this store replaces.
+  using Entry = CcSweepScratch::Entry;
+  constexpr uint32_t kNoEntry = CcSweepScratch::kNoEntry;
+  auto& entries = scratch->entries;
+  auto& chains = scratch->chains;
+  entries.clear();
+  scratch->free_entries = kNoEntry;
+  if (chains.size() < flat_->size()) chains.resize(flat_->size());
   auto& occupied = scratch->occupied;
   if (occupied.size() * 64 < flat_->size()) {
     occupied.resize((flat_->size() + 63) / 64, 0);
   }
   size_t pending = 0;
   FlatId first = static_cast<FlatId>(flat_->size());
-  // Appends to a flat node's bucket; the first entry marks it occupied.
-  auto push = [&](FlatId u, const CcSweepScratch::Entry& e) {
+  // Appends to a flat node's chain; the first entry marks it occupied.
+  auto push = [&](FlatId u, uint32_t item, NodeId q, const ScaledDouble& w) {
+    uint32_t e = scratch->free_entries;
+    if (e != kNoEntry) {
+      scratch->free_entries = entries[e].next;
+      entries[e] = Entry{item, q, w, kNoEntry};
+    } else {
+      e = static_cast<uint32_t>(entries.size());
+      entries.push_back(Entry{item, q, w, kNoEntry});
+    }
     const size_t at = static_cast<size_t>(u);
-    if (buckets[at].empty()) occupied[at >> 6] |= uint64_t{1} << (at & 63);
-    buckets[at].push_back(e);
+    CcSweepScratch::Chain& c = chains[at];
+    if (c.head == kNoEntry) {
+      c.head = e;
+      occupied[at >> 6] |= uint64_t{1} << (at & 63);
+    } else {
+      entries[c.tail].next = e;
+    }
+    c.tail = e;
     ++pending;
   };
 
@@ -912,14 +991,14 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
     if (start == kFlatFalse) continue;  // stays Zero
     st.prefix = prefix;
     st.active = true;
-    push(start, {static_cast<uint32_t>(i), q_root, ScaledDouble::One()});
+    push(start, static_cast<uint32_t>(i), q_root, ScaledDouble::One());
     first = std::min(first, start);
   }
 
   auto& per_item = scratch->per_item;
   if (per_item.size() < n) per_item.resize(n);
-  std::vector<uint32_t> items_here;  // roots with entries at this flat node
-  std::vector<ScaledDouble> credits;  // fast-walk sink credits, in add order
+  auto& items_here = scratch->items_here;  // roots with entries at this node
+  auto& credits = scratch->credits;  // fast-walk sink credits, in add order
   const bool fast = use_fast_intersect_;
   const FlatId fsize = static_cast<FlatId>(flat_->size());
 
@@ -942,7 +1021,7 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
   // reachable (root, flat node) pairing for every root in the batch. The
   // occupancy bitmap drives it: the next node to visit is the lowest set
   // bit at or after the current word, found with count-trailing-zeros, so
-  // the gaps between occupied buckets cost one word read per 64 nodes.
+  // the gaps between occupied chains cost one word read per 64 nodes.
   // Every bit below the visited node is already clear (visits clear their
   // own, and emits only target later nodes), so no word needs masking, and
   // the bitmap is all zero again once nothing is pending.
@@ -960,8 +1039,6 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
     const FlatId u = static_cast<FlatId>(
         word * 64 + static_cast<size_t>(std::countr_zero(bits)));
     ++visited;
-    auto& bucket = buckets[static_cast<size_t>(u)];
-    pending -= bucket.size();
     const int32_t lu = flat_->level(u);
     const double pu = flat_->prob_at_level(lu);
     if (u >= cur_block_end) {
@@ -975,14 +1052,20 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
                      : ScaledDouble::One();
     }
     // Distribute the root-tagged entries to per-root lists. push_back keeps
-    // each root's entry order identical to its solo-sweep bucket order.
+    // each root's entry order identical to its solo-sweep chain order. The
+    // visited chain then joins the free list whole.
     items_here.clear();
-    for (const auto& e : bucket) {
-      auto& list = per_item[e.item];
-      if (list.empty()) items_here.push_back(e.item);
-      list.push_back({e.q, e.w});
+    CcSweepScratch::Chain& chain = chains[static_cast<size_t>(u)];
+    for (uint32_t e = chain.head; e != kNoEntry; e = entries[e].next) {
+      const Entry& en = entries[e];
+      auto& list = per_item[en.item];
+      if (list.empty()) items_here.push_back(en.item);
+      list.push_back({en.q, en.w});
+      --pending;
     }
-    bucket.clear();
+    entries[chain.tail].next = scratch->free_entries;
+    scratch->free_entries = chain.head;
+    chain = CcSweepScratch::Chain{};
 
     for (const uint32_t item : items_here) {
       ItemState& st = items[item];
@@ -1000,10 +1083,10 @@ void MvIndex::CCMVIntersectBatchScaled(const std::vector<CcQuery>& queries,
                       (next_u < cur_block_end ? sfx_here : sfx_next);
           return;
         }
-        push(next_u, {item, next_q, w});
+        push(next_u, item, next_q, w);
       };
 
-      // Fast walk: a single-entry bucket (the common case — most queries
+      // Fast walk: a single-entry chain (the common case — most queries
       // keep a one-node front through each block) never widens until a
       // query node has two live successors, so the expand loop's hash maps
       // are pure overhead. Walk the query chain in registers, buffering

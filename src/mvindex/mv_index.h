@@ -22,8 +22,10 @@
 #ifndef MVDB_MVINDEX_MV_INDEX_H_
 #define MVDB_MVINDEX_MV_INDEX_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -47,15 +49,17 @@ struct CcQuery {
   NodeId root = BddManager::kFalse;
 };
 
-/// Reusable per-thread scratch for the CC sweep: the per-flat-node weight
-/// buckets of the forward pass and a bitmap of the buckets that hold
-/// entries. Both are empty again when a call returns (capacity kept); treat
-/// as opaque apart from the work counters of the last call.
+/// Reusable per-thread scratch for the CC sweep: the entry store of the
+/// forward pass (one arena of entries, linked per flat node), a bitmap of
+/// the flat nodes that hold entries, and the buffer behind the per-root
+/// sweep state. The chains and the bitmap are empty again when a call
+/// returns (capacity kept); treat as opaque apart from the work counters of
+/// the last call.
 class CcSweepScratch {
  public:
   CcSweepScratch() = default;
 
-  /// Flat nodes the last sweep visited: exactly the buckets it filled.
+  /// Flat nodes the last sweep visited: exactly the chains it filled.
   size_t last_nodes_visited() const { return nodes_visited; }
   /// 64-bit occupancy words the last sweep read to find those nodes. At
   /// most nodes visited + ceil(span / 64), where span is the flat distance
@@ -64,17 +68,38 @@ class CcSweepScratch {
 
  private:
   friend class MvIndex;
+  static constexpr uint32_t kNoEntry = 0xFFFFFFFFu;
+  /// Buffer of the per-call arena. A batch of 8 Fig. 10/11 requests
+  /// (~16 roots) at 15K authors takes 8–15 KiB of it; a larger sweep
+  /// continues on the heap.
+  static constexpr size_t kArenaBytes = size_t{16} << 10;
+
   struct Entry {
     uint32_t item;   ///< index into the batch
     NodeId q;        ///< query node reaching this flat node
     ScaledDouble w;  ///< accumulated path weight
+    uint32_t next;   ///< next entry of the same flat node, or kNoEntry
   };
-  std::vector<std::vector<Entry>> buckets;
-  /// Bit u is set while bucket u holds entries the sweep has not visited.
+  /// A flat node's entries, oldest first: a run linked through `entries`.
+  struct Chain {
+    uint32_t head = kNoEntry;
+    uint32_t tail = kNoEntry;
+  };
+  /// Entry arena. A visited node's entries go on the free list, so the
+  /// arena holds the live frontier, not every entry of the call.
+  std::vector<Entry> entries;
+  uint32_t free_entries = kNoEntry;
+  /// One {head, tail} per flat node (8 bytes).
+  std::vector<Chain> chains;
+  /// Bit u is set while chain u holds entries the sweep has not visited.
   std::vector<uint64_t> occupied;
   /// Per-item distribution lists reused across flat nodes (keeps the batch
-  /// sweep's per-item entry order identical to the solo sweep's bucket).
+  /// sweep's per-item entry order identical to the solo sweep's chain).
   std::vector<std::vector<std::pair<NodeId, ScaledDouble>>> per_item;
+  std::vector<uint32_t> items_here;   ///< roots with entries at this node
+  std::vector<ScaledDouble> credits;  ///< fast-walk sink credits
+  /// Buffer of the per-call arena holding the per-root sweep state.
+  std::unique_ptr<std::byte[]> arena;
   size_t nodes_visited = 0;
   size_t words_read = 0;
 };
@@ -321,9 +346,9 @@ class MvIndex {
 
   /// P0(Q ^ NOT W) by the cache-conscious forward sweep. The query root
   /// lives in `q.mgr` (any manager sharing the index's variable order —
-  /// the online path synthesizes query OBDDs into fresh managers), and all
-  /// mutable sweep state lives in the caller-owned scratch, so concurrent
-  /// calls on one index are pure reads of the flat chain.
+  /// the online path synthesizes query OBDDs into pooled query managers),
+  /// and all mutable sweep state lives in the caller-owned scratch, so
+  /// concurrent calls on one index are pure reads of the flat chain.
   ScaledDouble CCMVIntersectScaled(const CcQuery& q,
                                    CcSweepScratch* scratch) const;
 
@@ -407,7 +432,7 @@ class MvIndex {
   /// P(query sub-OBDD) with per-call memo (used when the W side exhausts).
   /// `qmgr` is the manager holding the query nodes.
   double ProbQ(const BddManager& qmgr, NodeId q,
-               std::unordered_map<NodeId, double>* memo) const;
+               std::pmr::unordered_map<NodeId, double>* memo) const;
 
   BddManager* mgr_ = nullptr;
   std::unique_ptr<FlatObdd> flat_;

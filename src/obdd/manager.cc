@@ -21,6 +21,16 @@ void BddManager::ReserveNodes(size_t n) {
 
 void BddManager::ReserveCaches(size_t n) { op_cache_.GrowTo(n); }
 
+void BddManager::Reset() {
+  nodes_.resize(2);  // the sinks
+  if (nodes_.capacity() > kRestingNodes) nodes_.shrink_to_fit();
+  unique_.ClearAndTrim(kRestingTableSlots);
+  op_cache_.ShrinkToResting();
+  apply_steps_ = 0;
+  cache_bytes_freed_ = 0;
+  std::unordered_map<NodeId, NodeId>().swap(concat_memo_);
+}
+
 size_t BddManager::ClearOpCaches() {
   const size_t freed = op_cache_.ShrinkToResting();
   cache_bytes_freed_ += freed;

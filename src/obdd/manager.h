@@ -134,6 +134,22 @@ class BddManager {
   /// BDDs min > max (empty range).
   std::pair<int32_t, int32_t> LevelRange(NodeId f) const;
 
+  /// What Reset() keeps: node and unique-table capacity up to these sizes
+  /// (a larger allocation is released) plus a resting op cache, so a pooled
+  /// manager never pins a large query's tables.
+  static constexpr size_t kRestingNodes = size_t{1} << 10;
+  static constexpr size_t kRestingTableSlots = size_t{1} << 11;
+  static constexpr size_t kRestingMemoryBytes =
+      kRestingNodes * sizeof(BddNode) + kRestingTableSlots * sizeof(uint32_t) +
+      DirectMappedCache::kRestingBytes;
+
+  /// Returns the manager to its two-sink state over the same order: every
+  /// node, the unique table, the op cache and the counters are dropped,
+  /// while capacity is kept up to the resting footprint above. NodeIds are
+  /// assigned in Mk order, so a reset manager hands out exactly the ids a
+  /// fresh manager would (the serving pool relies on it for bit identity).
+  void Reset();
+
   /// Construction-effort counters (Fig. 8's cost proxy).
   size_t num_created() const { return nodes_.size() - 2; }
   size_t apply_steps() const { return apply_steps_; }

@@ -16,44 +16,59 @@ void Lineage::Normalize() {
     std::sort(c.begin(), c.end());
     c.erase(std::unique(c.begin(), c.end()), c.end());
   }
-  // Sort clause pairs and dedupe.
-  std::vector<size_t> order(clauses_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (clauses_[a] != clauses_[b]) return clauses_[a] < clauses_[b];
-    return neg_clauses_[a] < neg_clauses_[b];
-  });
-  std::vector<Clause> pos, neg;
-  pos.reserve(clauses_.size());
-  neg.reserve(clauses_.size());
-  for (size_t i : order) {
-    if (!pos.empty() && pos.back() == clauses_[i] && neg.back() == neg_clauses_[i]) {
-      continue;  // duplicate
-    }
-    pos.push_back(std::move(clauses_[i]));
-    neg.push_back(std::move(neg_clauses_[i]));
-  }
-  // Absorption: clause j is redundant if some kept clause i satisfies
-  // pos_i subset pos_j and neg_i subset neg_j.
-  std::vector<Clause> kept_pos, kept_neg;
-  for (size_t j = 0; j < pos.size(); ++j) {
-    bool absorbed = false;
-    for (size_t i = 0; i < kept_pos.size(); ++i) {
-      if (std::includes(pos[j].begin(), pos[j].end(), kept_pos[i].begin(),
-                        kept_pos[i].end()) &&
-          std::includes(neg[j].begin(), neg[j].end(), kept_neg[i].begin(),
-                        kept_neg[i].end())) {
-        absorbed = true;
-        break;
+  // Sort the clause pairs by (pos, neg). Pairs that compare equal are
+  // identical, so any sort gives the same sequence. Without negated
+  // literals the positive parts sort alone; otherwise a sorted index
+  // permutation is applied in place, cycle by cycle.
+  const size_t n = clauses_.size();
+  if (!HasNegation()) {
+    std::sort(clauses_.begin(), clauses_.end());
+  } else {
+    std::vector<size_t> order(n);
+    for (size_t i = 0; i < n; ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      if (clauses_[a] != clauses_[b]) return clauses_[a] < clauses_[b];
+      return neg_clauses_[a] < neg_clauses_[b];
+    });
+    for (size_t i = 0; i < n; ++i) {
+      if (order[i] == i) continue;
+      Clause pos = std::move(clauses_[i]);
+      Clause neg = std::move(neg_clauses_[i]);
+      size_t j = i;
+      while (order[j] != i) {
+        clauses_[j] = std::move(clauses_[order[j]]);
+        neg_clauses_[j] = std::move(neg_clauses_[order[j]]);
+        const size_t next = order[j];
+        order[j] = j;
+        j = next;
       }
-    }
-    if (!absorbed) {
-      kept_pos.push_back(std::move(pos[j]));
-      kept_neg.push_back(std::move(neg[j]));
+      clauses_[j] = std::move(pos);
+      neg_clauses_[j] = std::move(neg);
+      order[j] = j;
     }
   }
-  clauses_ = std::move(kept_pos);
-  neg_clauses_ = std::move(kept_neg);
+  // Dedupe and absorb in one compaction over the sorted pairs: clause j is
+  // dropped when it repeats the last kept clause, or when some kept clause
+  // i satisfies pos_i subset pos_j and neg_i subset neg_j.
+  size_t kept = 0;
+  for (size_t j = 0; j < n; ++j) {
+    bool absorbed = kept > 0 && clauses_[kept - 1] == clauses_[j] &&
+                    neg_clauses_[kept - 1] == neg_clauses_[j];
+    for (size_t i = 0; i < kept && !absorbed; ++i) {
+      absorbed = std::includes(clauses_[j].begin(), clauses_[j].end(),
+                               clauses_[i].begin(), clauses_[i].end()) &&
+                 std::includes(neg_clauses_[j].begin(), neg_clauses_[j].end(),
+                               neg_clauses_[i].begin(), neg_clauses_[i].end());
+    }
+    if (absorbed) continue;
+    if (kept != j) {
+      clauses_[kept] = std::move(clauses_[j]);
+      neg_clauses_[kept] = std::move(neg_clauses_[j]);
+    }
+    ++kept;
+  }
+  clauses_.resize(kept);
+  neg_clauses_.resize(kept);
   normalized_ = true;
 }
 

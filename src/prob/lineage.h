@@ -84,8 +84,9 @@ class Lineage {
   }
 
   /// Sorts clauses, removes duplicates and absorbed clauses (c1 subset of c2
-  /// implies c2 is redundant). Quadratic; used on the small Q-lineages and in
-  /// tests, not on hot paths.
+  /// implies c2 is redundant). Quadratic in the clause count. It runs on
+  /// every answer of every evaluation (the online path included), so it
+  /// works in place: a lineage without negated literals allocates nothing.
   void Normalize();
 
   /// Distinct variables mentioned, sorted ascending.

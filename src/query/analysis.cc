@@ -1,6 +1,7 @@
 #include "query/analysis.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <set>
 
@@ -271,18 +272,23 @@ void WalkUcqTerms(UcqT& q, TermFn&& term) {
 /// always agree on slot order.
 class SignatureEncoder {
  public:
+  SignatureEncoder() {
+    sig_.key.reserve(128);
+    var_of_.fill(-1);
+  }
+
   void AddVar(int v) {
-    auto [it, inserted] = var_of_.emplace(v, static_cast<int>(var_of_.size()));
-    sig_.key += 'v';
-    sig_.key += std::to_string(it->second);
-    sig_.key += ',';
+    int& id = CanonicalVar(v);
+    if (id < 0) id = num_vars_++;
+    AddNumbered('v', static_cast<size_t>(id));
   }
   void AddConst(Value c) {
-    auto [it, inserted] = slot_of_.emplace(c, sig_.slots.size());
-    if (inserted) sig_.slots.push_back(c);
-    sig_.key += 's';
-    sig_.key += std::to_string(it->second);
-    sig_.key += ',';
+    // Slots are the distinct constants by first occurrence, so a constant's
+    // slot is its position in sig_.slots.
+    const auto it = std::find(sig_.slots.begin(), sig_.slots.end(), c);
+    const size_t slot = static_cast<size_t>(it - sig_.slots.begin());
+    if (it == sig_.slots.end()) sig_.slots.push_back(c);
+    AddNumbered('s', slot);
   }
   void AddAtomHeader(const Atom& a) {
     if (a.negated) sig_.key += '~';
@@ -294,9 +300,36 @@ class SignatureEncoder {
   UcqSignature Take() { return std::move(sig_); }
 
  private:
+  static constexpr size_t kInlineVars = 32;
+
+  /// `tag`, the decimal digits of `n`, then ','.
+  void AddNumbered(char tag, size_t n) {
+    char digits[20];
+    size_t len = 0;
+    do {
+      digits[len++] = static_cast<char>('0' + n % 10);
+      n /= 10;
+    } while (n != 0);
+    sig_.key += tag;
+    while (len > 0) sig_.key += digits[--len];
+    sig_.key += ',';
+  }
+
+  /// Canonical number of query variable v (-1 until first seen).
+  int& CanonicalVar(int v) {
+    MVDB_DCHECK(v >= 0);  // variable ids index Ucq::var_names
+    const size_t at = static_cast<size_t>(v);
+    if (at < kInlineVars) return var_of_[at];
+    if (more_vars_.size() <= at - kInlineVars) {
+      more_vars_.resize(at - kInlineVars + 1, -1);
+    }
+    return more_vars_[at - kInlineVars];
+  }
+
   UcqSignature sig_;
-  std::unordered_map<Value, size_t> slot_of_;
-  std::unordered_map<int, int> var_of_;
+  std::array<int, kInlineVars> var_of_;
+  std::vector<int> more_vars_;  ///< variables kInlineVars and up
+  int num_vars_ = 0;
 };
 
 /// Shared signature walk. `as_const(d, v)` tells whether the variable v of

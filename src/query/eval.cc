@@ -371,13 +371,18 @@ class CqPlan {
       ctx.bool_out->AddSignedClause(st->clause_vars, std::move(neg_vars));
       return;
     }
-    std::vector<Value> head;
-    head.reserve(q_.head_vars.size());
+    // Look the head up in the scratch buffer; only a new answer copies it.
+    std::vector<Value>& head = st->head;
+    head.clear();
     for (int hv : q_.head_vars) {
       MVDB_DCHECK(st->bound[static_cast<size_t>(hv)]);
       head.push_back(st->binding[static_cast<size_t>(hv)]);
     }
-    AnswerInfo& info = (*ctx.out)[std::move(head)];
+    auto it = ctx.out->lower_bound(head);
+    if (it == ctx.out->end() || it->first != head) {
+      it = ctx.out->emplace_hint(it, head, AnswerInfo{});
+    }
+    AnswerInfo& info = it->second;
     info.lineage.AddSignedClause(st->clause_vars, std::move(neg_vars));
     if (opts_.count_var >= 0 &&
         st->bound[static_cast<size_t>(opts_.count_var)]) {

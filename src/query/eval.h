@@ -72,7 +72,7 @@ Status Eval(const Database& db, const Ucq& q, const EvalOptions& opts,
 StatusOr<Lineage> EvalBoolean(const Database& db, const Ucq& q);
 
 /// Reusable execution state for PlanTemplate: variable bindings, undo
-/// stacks and the clause under construction. One per executing thread;
+/// stacks, the clause and head under construction. One per executing thread;
 /// repeated Execute calls against any template reuse the buffers, so the
 /// steady state allocates nothing. Treat the fields as opaque.
 struct EvalScratch {
@@ -81,6 +81,7 @@ struct EvalScratch {
   std::vector<int> newly_bound;
   Clause clause_vars;
   std::vector<Value> row_buf;
+  std::vector<Value> head;  ///< answer head looked up before it is copied
 };
 
 /// A compiled *query shape*: every disjunct planned once by the cost-based

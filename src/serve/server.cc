@@ -40,32 +40,53 @@ Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
   return (*tmpl)->Execute(sig.slots, scratch, answers);
 }
 
+BddManager* PipelineScratch::BorrowManager(
+    size_t slot, const std::shared_ptr<const VarOrder>& order) {
+  if (order != pool_order_) {
+    managers_.clear();
+    pool_order_ = order;
+  }
+  if (managers_.size() <= slot) managers_.resize(slot + 1);
+  std::unique_ptr<BddManager>& m = managers_[slot];
+  if (m == nullptr) {
+    m = std::make_unique<BddManager>(order);
+  } else {
+    m->Reset();
+  }
+  return m.get();
+}
+
 void SynthesizeQuery(const Database& db, const MvIndex& index,
-                     PlanCache* plans, const Ucq& q, EvalScratch* scratch,
-                     SynthesizedQuery* out) {
+                     PlanCache* plans, const Ucq& q, PipelineScratch* scratch,
+                     size_t slot, SynthesizedQuery* out) {
+  out->qmgr = nullptr;
+  out->heads.clear();
+  out->roots.clear();
   AnswerMap answers;
-  out->status =
-      PlanAndExecute(db, plans, q, scratch, &answers, &out->plan_cache_hit);
+  out->status = PlanAndExecute(db, plans, q, &scratch->eval, &answers,
+                               &out->plan_cache_hit);
   if (!out->status.ok()) return;
-  out->qmgr = std::make_unique<BddManager>(index.manager().order());
-  out->heads.reserve(answers.size());
-  out->roots.reserve(answers.size());
-  for (const auto& [head, info] : answers) {
-    out->heads.push_back(head);
-    out->roots.push_back(out->qmgr->FromLineageSynthesis(info.lineage));
+  out->qmgr = scratch->BorrowManager(slot, index.manager().order());
+  // Answers leave the map in head order; extracting moves each head out
+  // instead of copying it.
+  while (!answers.empty()) {
+    auto node = answers.extract(answers.begin());
+    out->roots.push_back(out->qmgr->FromLineageSynthesis(node.mapped().lineage));
+    out->heads.push_back(std::move(node.key()));
   }
 }
 
 void SweepNumerators(const MvIndex& index,
-                     const std::vector<SynthesizedQuery>& queries,
-                     CcSweepScratch* scratch, std::vector<ScaledDouble>* nums) {
-  std::vector<CcQuery> roots;
+                     std::span<const SynthesizedQuery> queries,
+                     PipelineScratch* scratch, std::vector<ScaledDouble>* nums) {
+  std::vector<CcQuery>& roots = scratch->roots;
+  roots.clear();
   for (const SynthesizedQuery& q : queries) {
     if (!q.status.ok()) continue;
-    for (const NodeId r : q.roots) roots.push_back(CcQuery{q.qmgr.get(), r});
+    for (const NodeId r : q.roots) roots.push_back(CcQuery{q.qmgr, r});
   }
   nums->clear();
-  if (!roots.empty()) index.CCMVIntersectBatchScaled(roots, scratch, nums);
+  if (!roots.empty()) index.CCMVIntersectBatchScaled(roots, &scratch->sweep, nums);
 }
 
 Status Eq5Answers(const MvIndex& index, std::vector<std::vector<Value>>* heads,
@@ -205,7 +226,8 @@ void Server::ExecuteBatch(std::vector<Pending>* batch,
                           PipelineScratch* scratch, bool admitted) {
   const Clock::time_point dequeued_at = Clock::now();
   const size_t n = batch->size();
-  std::vector<SynthesizedQuery> queries(n);
+  std::vector<SynthesizedQuery>& queries = scratch->queries;
+  queries.resize(n);
 
   // Phase 1: deadline check + relational eval + per-request OBDD synthesis.
   for (size_t i = 0; i < n; ++i) {
@@ -213,15 +235,16 @@ void Server::ExecuteBatch(std::vector<Pending>* batch,
     if (p.has_deadline && Clock::now() >= p.deadline) {
       queries[i].status =
           Status::DeadlineExceeded("deadline expired before execution");
+      queries[i].plan_cache_hit = false;
       continue;
     }
-    SynthesizeQuery(*db_, *index_, plan_cache_.get(), p.req.query,
-                    &scratch->eval, &queries[i]);
+    SynthesizeQuery(*db_, *index_, plan_cache_.get(), p.req.query, scratch, i,
+                    &queries[i]);
   }
 
   // Phase 2: one batched CC sweep answers every tuple of every request.
-  std::vector<ScaledDouble> nums;
-  SweepNumerators(*index_, queries, &scratch->sweep, &nums);
+  std::vector<ScaledDouble>& nums = scratch->nums;
+  SweepNumerators(*index_, queries, scratch, &nums);
 
   // Phase 3: assemble Eq. 5 ratios.
   const Clock::time_point done_at = Clock::now();

@@ -18,14 +18,15 @@
 // Each request runs the online algorithm of Section 4.3, whose only copy
 // is below (QueryEngine::Query's default backend runs it as a batch of
 // one): (1) plan through the cache and execute, (2) synthesize every
-// answer's lineage into ONE fresh BddManager over the index's order, (3)
-// one CC sweep over all roots of the batch, (4) Eq. 5 with one ClampProb.
-// The fresh manager makes NodeIds — and with them every hash-map iteration
-// order in the sweep — a function of the query alone, and a batched sweep
-// reproduces each solo sweep bit for bit, so answer bits never depend on
-// the caller, scheduling, batching, cache state, or what was asked before
-// (serve_concurrency_test pins golden hashes). The order and P0(NOT W) are
-// read off the index per batch.
+// answer's lineage into ONE query manager over the index's order — pooled
+// per batch slot and reset to its two-sink state, which hands out a fresh
+// manager's NodeIds — (3) one CC sweep over all roots of the batch, (4)
+// Eq. 5 with one ClampProb. The reset manager makes NodeIds — and with them
+// every hash-map iteration order in the sweep — a function of the query
+// alone, and a batched sweep reproduces each solo sweep bit for bit, so
+// answer bits never depend on the caller, scheduling, batching, cache
+// state, or what was asked before (serve_concurrency_test pins golden
+// hashes). The order and P0(NOT W) are read off the index per batch.
 
 #ifndef MVDB_SERVE_SERVER_H_
 #define MVDB_SERVE_SERVER_H_
@@ -37,6 +38,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "mvindex/mv_index.h"
@@ -49,20 +51,38 @@
 
 namespace mvdb {
 
-/// Per-caller scratch of the body, kept across calls (one per serving
-/// worker, one per engine) so that no call allocates O(index).
-struct PipelineScratch {
-  EvalScratch eval;
-  CcSweepScratch sweep;
-};
-
 /// One query after steps 1-2, waiting for its sweep.
 struct SynthesizedQuery {
   Status status;
   bool plan_cache_hit = false;
-  std::unique_ptr<BddManager> qmgr;
+  /// The pooled manager of the query's batch slot (owned by the
+  /// PipelineScratch; valid until the slot is borrowed again).
+  BddManager* qmgr = nullptr;
   std::vector<std::vector<Value>> heads;
   std::vector<NodeId> roots;  ///< one per head, in qmgr
+};
+
+/// Per-caller scratch of the body, kept across calls (one per serving
+/// worker, one per engine), so that a warm call allocates neither O(index)
+/// nor per-request managers, sweep state or batch vectors.
+struct PipelineScratch {
+  EvalScratch eval;
+  CcSweepScratch sweep;
+  std::vector<SynthesizedQuery> queries;  ///< the batch, one per slot
+  std::vector<CcQuery> roots;             ///< SweepNumerators' batch
+  std::vector<ScaledDouble> nums;         ///< the batch's numerators
+
+  /// Slot `slot`'s query manager in its two-sink state over `order`:
+  /// Reset() while the pool is on that order, and the whole pool is
+  /// rebuilt when the order changed (a structural delta swaps the index's
+  /// VarOrder), so no slot pins an old order past its next batch. A reset
+  /// manager hands out a fresh manager's NodeIds.
+  BddManager* BorrowManager(size_t slot,
+                            const std::shared_ptr<const VarOrder>& order);
+
+ private:
+  std::shared_ptr<const VarOrder> pool_order_;
+  std::vector<std::unique_ptr<BddManager>> managers_;
 };
 
 /// Clamps values within floating-point noise of [0, 1].
@@ -73,16 +93,17 @@ Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
                       EvalScratch* scratch, AnswerMap* answers,
                       bool* plan_cache_hit = nullptr);
 
-/// Steps 1-2. Failures land in out->status.
+/// Steps 1-2 into the pooled manager of batch slot `slot`. Failures land
+/// in out->status.
 void SynthesizeQuery(const Database& db, const MvIndex& index,
-                     PlanCache* plans, const Ucq& q, EvalScratch* scratch,
-                     SynthesizedQuery* out);
+                     PlanCache* plans, const Ucq& q, PipelineScratch* scratch,
+                     size_t slot, SynthesizedQuery* out);
 
 /// Step 3 for a batch: one sweep over the roots of every OK query, the
 /// numerators in query-then-answer order.
 void SweepNumerators(const MvIndex& index,
-                     const std::vector<SynthesizedQuery>& queries,
-                     CcSweepScratch* scratch, std::vector<ScaledDouble>* nums);
+                     std::span<const SynthesizedQuery> queries,
+                     PipelineScratch* scratch, std::vector<ScaledDouble>* nums);
 
 /// Step 4 for the answer heads whose numerators start at nums[*cursor]:
 /// moves the heads into `answers` and advances the cursor past them.

@@ -68,6 +68,17 @@ class FlatIdTable {
     size_ = 0;
   }
 
+  /// Drops every entry; an allocation of more than `max_capacity` slots is
+  /// released (the next insert starts from the minimum capacity).
+  void ClearAndTrim(size_t max_capacity) {
+    if (slots_.size() > max_capacity) {
+      std::vector<uint32_t>().swap(slots_);
+      size_ = 0;
+    } else {
+      Clear();
+    }
+  }
+
   /// Pre-sizes the table for `n` entries without exceeding the 3/4 load cap.
   template <typename HashOf>
   void Reserve(size_t n, HashOf&& hash_of) {
@@ -135,10 +146,16 @@ class FlatIdTable {
 /// real key (BddManager's op encoding guarantees the top two key bits are
 /// < 3, so all-ones cannot occur).
 class DirectMappedCache {
+  struct Entry {
+    uint64_t key;
+    int32_t value;
+  };
+
  public:
   static constexpr uint64_t kEmptyKey = ~0ULL;
   /// Resting size: 2^6 entries * 16 bytes = 1 KiB per manager.
   static constexpr size_t kRestingEntries = size_t{1} << 6;
+  static constexpr size_t kRestingBytes = kRestingEntries * sizeof(Entry);
   /// Where owner-driven growth stops (2^14 entries = 256 KiB): BddManager
   /// doubles the cache as its node count passes the cache size, up to here.
   static constexpr size_t kAutoEntries = size_t{1} << 14;
@@ -191,11 +208,6 @@ class DirectMappedCache {
   }
 
  private:
-  struct Entry {
-    uint64_t key;
-    int32_t value;
-  };
-
   void Resize(size_t n) {
     MVDB_DCHECK((n & (n - 1)) == 0);
     table_.assign(n, Entry{kEmptyKey, 0});

@@ -114,15 +114,7 @@ DeltaWorkload BuildWorkload(const Database& db) {
   // forces a brand-new separator value; a second advisor for an existing
   // advisee creates new V2 denial heads (weight-0 view tuples, no NV rows)
   // inside existing blocks.
-  Value fresh_aid = 0;
-  for (size_t r = 0; r < student->size(); ++r) {
-    fresh_aid = std::max(fresh_aid, student->At(static_cast<RowId>(r), 0));
-  }
-  for (size_t r = 0; r < advisor->size(); ++r) {
-    fresh_aid = std::max(fresh_aid, advisor->At(static_cast<RowId>(r), 0));
-    fresh_aid = std::max(fresh_aid, advisor->At(static_cast<RowId>(r), 1));
-  }
-  fresh_aid += 1000;
+  const Value fresh_aid = testing_util::FreshAid(db);
   wl.structural_ops.push_back(
       Op(DeltaOp::Kind::kInsert, "Student", {fresh_aid, 2001}, 0.8));
 

@@ -225,7 +225,24 @@ SharedWorkload& LongChain() {
   return *shared;
 }
 
-/// The flat nodes whose buckets a sweep of `root` fills, derived without
+/// A 2K-author DBLP index: a shorter chain than LongChain()'s.
+SharedWorkload& ShortChain() {
+  static SharedWorkload* shared = [] {
+    auto* s = new SharedWorkload();
+    dblp::DblpConfig cfg;
+    cfg.num_authors = 2000;
+    cfg.num_threads = 2;
+    auto mvdb = dblp::BuildDblpMvdb(cfg, nullptr);
+    MVDB_CHECK(mvdb.ok());
+    s->mvdb = std::move(mvdb).value();
+    s->engine = std::make_unique<QueryEngine>(s->mvdb.get());
+    MVDB_CHECK(s->engine->Compile(CompileOptions{.num_threads = 2}).ok());
+    return s;
+  }();
+  return *shared;
+}
+
+/// The flat nodes whose chains a sweep of `root` fills, derived without
 /// the sweep: every (query node, flat node) pair of the MVIntersect
 /// recursion with neither side a sink, reached from the chain entry of the
 /// first block whose last level is at or after the root's level.
@@ -330,7 +347,7 @@ TEST(IntersectKernelTest, SparseBatchesAcrossTheChainMatchSoloSweeps) {
       CcSweepScratch scratch;
       std::vector<ScaledDouble> batched;
       index.CCMVIntersectBatchScaled(batch, &scratch, &batched);
-      // The work counters: one visit per filled bucket, and the bitmap
+      // The work counters: one visit per filled chain, and the bitmap
       // walk reads one word per visit plus one per 64 nodes of span.
       const size_t span = static_cast<size_t>(hi - lo) + 1;
       EXPECT_EQ(scratch.last_nodes_visited(), reached.size())
@@ -361,6 +378,38 @@ TEST(IntersectKernelTest, SparseBatchesAcrossTheChainMatchSoloSweeps) {
     }
   }
   index.set_use_fast_intersect(true);
+}
+
+TEST(IntersectKernelTest, ScratchReusedAcrossIndexesMatchesFreshScratch) {
+  // One scratch serves a 10K-author index, a 2K-author index and the first
+  // again: its chains were sized by the longer chain and its arena grown by
+  // earlier calls. Every batch must equal a fresh scratch's sweep: the same
+  // numerator bits and the same work counters.
+  CcSweepScratch reused;
+  size_t visited = 0;
+  for (SharedWorkload* s : {&LongChain(), &ShortChain(), &LongChain()}) {
+    const MvIndex& index = s->engine->index();
+    BddManager qmgr(index.manager().order());
+    const std::vector<NodeId> pool = RandomQueryPool(index, &qmgr, 64);
+    for (size_t begin = 0; begin < pool.size(); begin += 8) {
+      std::vector<CcQuery> batch;
+      for (size_t i = begin; i < begin + 8; ++i) {
+        batch.push_back(CcQuery{&qmgr, pool[i]});
+      }
+      std::vector<ScaledDouble> got, want;
+      index.CCMVIntersectBatchScaled(batch, &reused, &got);
+      CcSweepScratch fresh;
+      index.CCMVIntersectBatchScaled(batch, &fresh, &want);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_TRUE(SameBits(got[i], want[i])) << "root " << begin + i;
+      }
+      EXPECT_EQ(reused.last_nodes_visited(), fresh.last_nodes_visited());
+      EXPECT_EQ(reused.last_words_read(), fresh.last_words_read());
+      visited += fresh.last_nodes_visited();
+    }
+  }
+  EXPECT_GT(visited, 1000u);  // the batches really sweep
 }
 
 }  // namespace

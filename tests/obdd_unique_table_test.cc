@@ -251,8 +251,8 @@ TEST(OpCacheSizingTest, AutoSizedCacheBuildsTheSameNodesAsAReservedOne) {
 }
 
 TEST(OpCacheSizingTest, QuerySizedManagerStaysSmall) {
-  // Serving synthesizes every request into a fresh manager; a Fig. 10/11
-  // request is ~12 clauses and ~18 nodes. Its whole node store — nodes,
+  // Serving synthesizes every request into a reset query manager; a Fig.
+  // 10/11 request is ~12 clauses and ~18 nodes. Its whole node store — nodes,
   // unique table and op cache — must stay a few KiB: a batch keeps eight
   // alive beside the index it sweeps, so a fixed 256 KiB op cache each
   // would fill a 2 MiB L2.
@@ -261,6 +261,66 @@ TEST(OpCacheSizingTest, QuerySizedManagerStaysSmall) {
   const NodeId root = mgr.FromLineageSynthesis(RandomLineage(&rng, 64, 12));
   EXPECT_FALSE(mgr.IsSink(root));
   EXPECT_LT(mgr.MemoryBytes(), size_t{16} << 10);
+}
+
+/// Asserts that two managers hold the same node array.
+void ExpectSameNodes(const BddManager& a, const BddManager& b) {
+  ASSERT_EQ(a.num_created(), b.num_created());
+  const NodeId end = static_cast<NodeId>(a.num_created()) + 2;
+  for (NodeId id = 0; id < end; ++id) {
+    const BddNode& x = a.node(id);
+    const BddNode& y = b.node(id);
+    ASSERT_TRUE(x.level == y.level && x.lo == y.lo && x.hi == y.hi)
+        << "node " << id;
+  }
+}
+
+TEST(ResetTest, ResetManagerBuildsWhatAFreshOneBuildsAndRestsSmall) {
+  // Serving pools one query manager per batch slot and Reset()s it between
+  // requests. Grow one past rest first (>= 10K nodes: the unique table and
+  // the op cache both leave their resting sizes), then reset it: it must
+  // hold no more than the resting footprint, and hand out exactly a fresh
+  // manager's nodes and root ids, both request by request (reset before
+  // each lineage) and over all 200 lineages in one manager.
+  constexpr int kVars = 48;
+  BddManager pooled(Identity(kVars));
+  Rng grow_rng(29);
+  while (pooled.num_created() < 10000) {
+    pooled.FromLineageSynthesis(RandomLineage(&grow_rng, kVars, 16));
+  }
+  EXPECT_GT(pooled.MemoryBytes(), BddManager::kRestingMemoryBytes);
+  pooled.Reset();
+  EXPECT_EQ(pooled.num_created(), 0u);
+  EXPECT_EQ(pooled.apply_steps(), 0u);
+  EXPECT_LE(pooled.MemoryBytes(), BddManager::kRestingMemoryBytes);
+
+  std::vector<Lineage> lineages;
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    lineages.push_back(
+        RandomLineage(&rng, kVars, 1 + static_cast<int>(rng.Below(16))));
+  }
+  for (size_t i = 0; i < lineages.size(); ++i) {
+    pooled.Reset();
+    BddManager fresh(Identity(kVars));
+    ASSERT_EQ(pooled.FromLineageSynthesis(lineages[i]),
+              fresh.FromLineageSynthesis(lineages[i]))
+        << "lineage " << i;
+    ExpectSameNodes(pooled, fresh);
+    EXPECT_EQ(pooled.apply_steps(), fresh.apply_steps()) << "lineage " << i;
+  }
+
+  pooled.Reset();
+  BddManager fresh(Identity(kVars));
+  for (size_t i = 0; i < lineages.size(); ++i) {
+    ASSERT_EQ(pooled.FromLineageSynthesis(lineages[i]),
+              fresh.FromLineageSynthesis(lineages[i]))
+        << "lineage " << i;
+  }
+  EXPECT_GT(pooled.num_created(), 10000u);  // the tables grew past rest again
+  ExpectSameNodes(pooled, fresh);
+  pooled.Reset();
+  EXPECT_LE(pooled.MemoryBytes(), BddManager::kRestingMemoryBytes);
 }
 
 TEST(FlatIdTableTest, FindOrInsertAndRehash) {

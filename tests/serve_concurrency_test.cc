@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -58,6 +59,28 @@ struct SharedWorkload {
   std::vector<std::vector<AnswerProb>> reference;  // serial answers, in order
 };
 
+/// The Fig. 10/11 mix: six students-of-advisor and three
+/// affiliation-of-author questions, parsed into `mvdb`'s dictionary.
+std::vector<Ucq> Fig1011Queries(Mvdb* mvdb) {
+  std::vector<Ucq> queries;
+  const Table* advisor = mvdb->db().Find("Advisor");
+  MVDB_CHECK(advisor != nullptr && advisor->size() >= 6);
+  const size_t stride = advisor->size() / 6;
+  for (size_t i = 0; i < 6; ++i) {
+    const Value senior = advisor->At(static_cast<RowId>(i * stride), 1);
+    queries.push_back(dblp::StudentsOfAdvisorQuery(
+        mvdb, dblp::AuthorName(static_cast<int>(senior))));
+  }
+  const Table* aff = mvdb->db().Find("Affiliation");
+  MVDB_CHECK(aff != nullptr && aff->size() >= 3);
+  for (size_t i = 0; i < 3; ++i) {
+    const Value aid = aff->At(static_cast<RowId>(i), 0);
+    queries.push_back(dblp::AffiliationOfAuthorQuery(
+        mvdb, dblp::AuthorName(static_cast<int>(aid))));
+  }
+  return queries;
+}
+
 SharedWorkload& Shared() {
   static SharedWorkload* shared = [] {
     auto* s = new SharedWorkload();
@@ -73,21 +96,7 @@ SharedWorkload& Shared() {
     // The Fig. 10/11 mix: students-of-advisor and affiliation-of-author
     // queries (repeated shapes, different constants), plus an empty-answer
     // query — all pre-parsed, since parsing interns into the shared dict.
-    const Table* advisor = s->mvdb->db().Find("Advisor");
-    MVDB_CHECK(advisor != nullptr && advisor->size() >= 6);
-    const size_t stride = advisor->size() / 6;
-    for (size_t i = 0; i < 6; ++i) {
-      const Value senior = advisor->At(static_cast<RowId>(i * stride), 1);
-      s->queries.push_back(dblp::StudentsOfAdvisorQuery(
-          s->mvdb.get(), dblp::AuthorName(static_cast<int>(senior))));
-    }
-    const Table* aff = s->mvdb->db().Find("Affiliation");
-    MVDB_CHECK(aff != nullptr && aff->size() >= 3);
-    for (size_t i = 0; i < 3; ++i) {
-      const Value aid = aff->At(static_cast<RowId>(i), 0);
-      s->queries.push_back(dblp::AffiliationOfAuthorQuery(
-          s->mvdb.get(), dblp::AuthorName(static_cast<int>(aid))));
-    }
+    s->queries = Fig1011Queries(s->mvdb.get());
     s->queries.push_back(
         dblp::StudentsOfAdvisorQuery(s->mvdb.get(), "no-such-author"));
 
@@ -253,8 +262,9 @@ TEST(ServeConcurrencyTest, BatchedSweepMatchesSoloSweepPerRoot) {
 }
 
 TEST(ServeConcurrencyTest, EngineQueryMatchesReferenceBitwise) {
-  // QueryEngine::Query runs the serving body (fresh manager per query, one
-  // batched sweep), so its answers carry the serial reference's bits.
+  // QueryEngine::Query runs the serving body (a pooled manager reset per
+  // query, one batched sweep), so its answers carry the serial reference's
+  // bits.
   SharedWorkload& s = Shared();
   std::vector<std::vector<AnswerProb>> engine_answers;
   for (const Ucq& q : s.queries) {
@@ -263,6 +273,96 @@ TEST(ServeConcurrencyTest, EngineQueryMatchesReferenceBitwise) {
     engine_answers.push_back(std::move(answers).value());
   }
   EXPECT_EQ(HashAnswers(engine_answers), kGoldenAnswers);
+}
+
+TEST(ServeConcurrencyTest, PooledManagersFollowAStructuralDelta) {
+  // Query managers are pooled per batch slot and reset between requests.
+  // A structural delta binds the index to a new VarOrder, so every pool
+  // must be rebuilt on it rather than reset on the old one. A 1-worker
+  // server and the engine first fill their pools on the old order; after a
+  // Student insert under a fresh aid, Submit, Execute and the engine's
+  // Query must agree bit for bit and match a fresh Compile of the mutated
+  // MVDB.
+  dblp::DblpConfig cfg;
+  cfg.num_authors = 400;
+  cfg.include_affiliation = true;
+  auto built = dblp::BuildDblpMvdb(cfg, nullptr);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<Mvdb> mvdb = std::move(built).value();
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  const std::vector<Ucq> queries = Fig1011Queries(mvdb.get());
+
+  ServeOptions opts;
+  opts.num_threads = 1;
+  opts.start_workers = false;
+  auto server = engine.Serve(opts);
+  ASSERT_TRUE(server.ok());
+  auto submit_all = [&] {
+    std::vector<std::future<ServeResult>> futures;
+    for (const Ucq& q : queries) futures.push_back((*server)->Submit({q, 0}));
+    (*server)->Start();  // a no-op after the first call
+    std::vector<std::vector<AnswerProb>> out;
+    for (auto& f : futures) {
+      ServeResult res = f.get();
+      EXPECT_TRUE(res.status.ok()) << res.status.ToString();
+      out.push_back(std::move(res.answers));
+    }
+    return out;
+  };
+  // Warm: the queued requests fill a whole batch, so every slot of the
+  // worker's pool and the engine's slot 0 hold a manager on the old order.
+  submit_all();
+  for (const Ucq& q : queries) ASSERT_TRUE(engine.Query(q).ok());
+
+  DeltaOp insert;
+  insert.kind = DeltaOp::Kind::kInsert;
+  insert.table = "Student";
+  insert.values = {testing_util::FreshAid(mvdb->db()), 2001};
+  insert.weight = 0.8;
+  const std::shared_ptr<const VarOrder> old_order =
+      engine.index().manager().order();
+  ASSERT_TRUE(engine.ApplyDelta({insert}, server->get()).ok());
+  ASSERT_NE(engine.index().manager().order(), old_order);
+  ASSERT_GT(engine.index().manager().num_levels(), old_order->num_levels());
+
+  const std::vector<std::vector<AnswerProb>> submitted = submit_all();
+  std::vector<std::vector<AnswerProb>> executed, queried;
+  for (const Ucq& q : queries) {
+    ServeResult res = (*server)->Execute(ServeRequest{q, 0});
+    ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+    executed.push_back(std::move(res.answers));
+    auto answers = engine.Query(q);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    queried.push_back(std::move(answers).value());
+  }
+
+  // The reference: the same delta on a twin MVDB, then a cold Compile.
+  auto twin_built = dblp::BuildDblpMvdb(cfg, nullptr);
+  ASSERT_TRUE(twin_built.ok());
+  std::unique_ptr<Mvdb> twin = std::move(twin_built).value();
+  TranslateOptions topts;
+  topts.num_threads = CompileOptions{}.num_threads;
+  ASSERT_TRUE(twin->Translate(topts).ok());
+  DeltaEffects effects;
+  ASSERT_TRUE(twin->ApplyBaseDelta({insert}, &effects).ok());
+  ASSERT_FALSE(effects.new_vars.empty());
+  QueryEngine cold(twin.get());
+  ASSERT_TRUE(cold.Compile().ok());
+  std::vector<std::vector<AnswerProb>> reference;
+  for (const Ucq& q : Fig1011Queries(twin.get())) {
+    auto answers = cold.Query(q);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    reference.push_back(std::move(answers).value());
+  }
+
+  ASSERT_EQ(reference.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_FALSE(reference[i].empty()) << "query " << i;
+    EXPECT_TRUE(BitEqual(submitted[i], reference[i])) << "query " << i;
+    EXPECT_TRUE(BitEqual(executed[i], reference[i])) << "query " << i;
+    EXPECT_TRUE(BitEqual(queried[i], reference[i])) << "query " << i;
+  }
 }
 
 TEST(ServeConcurrencyTest, EngineEqualsServerOnRandomMvdbs) {

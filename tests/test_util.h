@@ -7,6 +7,7 @@
 #ifndef MVDB_TESTS_TEST_UTIL_H_
 #define MVDB_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -112,6 +113,23 @@ inline std::unique_ptr<Mvdb> RandomMvdb(Rng* rng, const RandomMvdbSpec& spec) {
                                                  view_weight())).ok());
   }
   return mvdb;
+}
+
+/// A DBLP author id that no Student or Advisor tuple mentions: inserting a
+/// Student under it forces a brand-new separator value (a structural delta).
+inline Value FreshAid(const Database& db) {
+  const Table* student = db.Find("Student");
+  const Table* advisor = db.Find("Advisor");
+  MVDB_CHECK(student != nullptr && advisor != nullptr);
+  Value aid = 0;
+  for (size_t r = 0; r < student->size(); ++r) {
+    aid = std::max(aid, student->At(static_cast<RowId>(r), 0));
+  }
+  for (size_t r = 0; r < advisor->size(); ++r) {
+    aid = std::max(aid, advisor->At(static_cast<RowId>(r), 0));
+    aid = std::max(aid, advisor->At(static_cast<RowId>(r), 1));
+  }
+  return aid + 1000;
 }
 
 /// One FNV-1a step (64-bit prime); digests start from 1469598103934665603.
