@@ -16,14 +16,11 @@
 // parallelism too. Any MISMATCH makes the process exit non-zero.
 //
 // Usage: bench_build_scale [authors ...] [--threads=1,2,4] [--scale-sweep]
-//                          [--no-templates] [--repeat N]
+//                          [--repeat N]
 //   bench_build_scale                      # sweep {10000, 50000} x {1,2,4}
 //   bench_build_scale --scale-sweep        # {10000,50000,100000,200000,500000}
 //                                          # x {1,4}: the 1M-author trajectory
 //   bench_build_scale 500000 --threads=4   # one large cell
-//   bench_build_scale --no-templates       # classic per-block planning (the
-//                                          # CompileOptions reference path)
-//                                          # for template-on/off A-B runs
 //   bench_build_scale --repeat 5           # build every cell 5 times; the
 //                                          # table and phase split show the
 //                                          # fastest run, the JSON adds
@@ -74,7 +71,6 @@ uint64_t HashLayout(const FlatObdd& flat) {
 }
 
 bool g_parity_failed = false;
-bool g_use_templates = true;
 int g_repeat = 1;
 
 /// Peak resident set of this process so far, in MiB (Linux ru_maxrss is in
@@ -96,7 +92,6 @@ BuildResult BuildOnce(int authors, int threads) {
   QueryEngine engine(mvdb.get());
   CompileOptions copts;
   copts.num_threads = threads;
-  copts.use_plan_templates = g_use_templates;
   // The chain is ~14 nodes per author at this workload shape; hint the
   // shard managers so the unique tables do not rehash mid-build.
   copts.reserve_hint = static_cast<size_t>(authors) * 16;
@@ -196,7 +191,6 @@ void ReportCell(int authors, int threads, const BuildResult& r,
       .Field("compile_s", r.stats.compile_seconds)
       .Field("stitch_s", r.stats.stitch_seconds)
       .Field("import_s", r.stats.import_seconds)
-      .Field("use_templates", g_use_templates ? 1 : 0)
       .Field("plan_templates", r.stats.plan_templates)
       .Field("template_blocks", r.stats.template_blocks)
       .Field("template_plan_s", r.stats.template_plan_seconds)
@@ -266,8 +260,6 @@ int main(int argc, char** argv) {
       parse_thread_list(argv[++i]);
     } else if (std::strcmp(argv[i], "--scale-sweep") == 0) {
       scale_sweep = true;
-    } else if (std::strcmp(argv[i], "--no-templates") == 0) {
-      mvdb::bench::g_use_templates = false;
     } else if (std::strncmp(argv[i], "--repeat=", 9) == 0) {
       mvdb::bench::g_repeat = std::atoi(argv[i] + 9);
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc &&
@@ -278,8 +270,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "unknown flag %s\nusage: bench_build_scale [authors ...] "
-                   "[--threads=1,2,4] [--scale-sweep] [--no-templates] "
-                   "[--repeat N]\n",
+                   "[--threads=1,2,4] [--scale-sweep] [--repeat N]\n",
                    argv[i]);
       return 2;
     }

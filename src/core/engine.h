@@ -61,7 +61,7 @@ enum class Backend {
 /// threads; the output is bit-identical for every thread count (same block
 /// keys, same flat layout, same probabilities) — parallelism is purely a
 /// wall-clock knob. See MvIndexBuildOptions for the field semantics
-/// (num_threads, reserve_hint, use_plan_templates).
+/// (num_threads, reserve_hint).
 using CompileOptions = MvIndexBuildOptions;
 
 class QueryEngine {

@@ -5,15 +5,12 @@
 #include <limits>
 #include <memory_resource>
 #include <new>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "mvindex/partition.h"
-#include "query/analysis.h"
-#include "query/eval.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -43,16 +40,7 @@ struct BlockCompileScratch {
   std::vector<ScaledDouble> prob_vals;
 };
 
-/// How one task is executed by the compile stage: through a shared plan
-/// template with a slot binding (tmpl != nullptr), or the classic per-block
-/// path (materialize + plan + build from scratch).
-struct TaskPlan {
-  const ConObddTemplate* tmpl = nullptr;
-  uint32_t slots_begin = 0;
-  uint32_t slots_len = 0;
-};
-
-/// Shared tail of both compile paths: the block OBDD f of W_b becomes the
+/// CompileBlock's tail: the block OBDD f of W_b becomes the
 /// flattened NOT W_b with its level range and standalone probability. The
 /// level range is read off the level-sorted flat arrays and the probability
 /// is the same Shannon expansion BddManager::ProbScaled performs, evaluated
@@ -81,31 +69,27 @@ void FinishBlock(BddManager* shard_mgr, NodeId f,
   // helps the next block. Build() shrinks it once per shard at the end.
 }
 
-/// Stage 2 worker: compile one block inside the shard's private manager and
+/// Stage 2 worker: compile task `i` inside the shard's private manager and
 /// flatten it standalone. The shard manager shares the immutable VarOrder,
 /// so the reduced OBDD (and hence the flattened block, the level range and
 /// the extended-range probability) is identical to what a single shared
-/// manager would produce — and identical between the template and classic
-/// paths, which build the same reduced OBDD by construction.
+/// manager would produce. A task whose template failed to plan takes the
+/// planning failure as its status.
 void CompileBlock(const Database& db, const PartitionResult& partition,
-                  const BlockTask& task, const TaskPlan& plan,
-                  std::span<const Value> slot_arena,
+                  const BlockPlans& plans, size_t i,
                   const std::vector<double>& level_probs,
                   BddManager* shard_mgr, BlockCompileScratch* scratch,
                   CompiledBlock* out) {
-  StatusOr<NodeId> f_or = BddManager::kFalse;
-  if (plan.tmpl != nullptr) {
-    f_or = plan.tmpl->Execute(
-        slot_arena.subspan(plan.slots_begin, plan.slots_len), shard_mgr,
-        &scratch->con);
-  } else {
-    ConObddBuilder builder(db, shard_mgr);
-    // Undecomposed tasks carry their query; shaped tasks on the
-    // template-off path ground theirs on demand.
-    f_or = task.shape < 0
-               ? builder.Build(task.query)
-               : builder.Build(MaterializeTaskQuery(partition, task));
+  const TaskPlan& plan = plans.tasks[i];
+  out->key = partition.tasks[i].key;
+  if (!plan.status.ok()) {
+    out->status = plan.status;
+    return;
   }
+  StatusOr<NodeId> f_or =
+      plan.tmpl != nullptr
+          ? plan.tmpl->Execute(plans.slots(plan), shard_mgr, &scratch->con)
+          : ConObddBuilder(db, shard_mgr).Build(partition.tasks[i].query);
   if (!f_or.ok()) {
     out->status = f_or.status();
     return;
@@ -243,116 +227,19 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   std::vector<CompiledBlock> compiled(tasks.size());
 
   // Stage 2a (serial): map every task of a decomposed group onto a plan
-  // template — one per structural signature, not one per block. Tasks whose
-  // separator value collides with a constant of the shape's own query have
-  // a different constant-equality pattern (hence signature) and get their
-  // own template; everything else in the group shares the default one. A
-  // failed plan fails every task that maps to it: the status lands in the
-  // task's slot now, and the canonical scan below reports the first failing
-  // task in task order no matter which workers ran first.
-  std::vector<TaskPlan> task_plans(tasks.size());
-  std::vector<Value> slot_arena;
-  std::vector<std::unique_ptr<const ConObddTemplate>> templates;
-  if (options.use_plan_templates) {
-    Timer template_timer;
-    struct StoreEntry {
-      const ConObddTemplate* tmpl = nullptr;
-      Status status = Status::OK();
-    };
-    std::unordered_map<std::string, StoreEntry> store;  // by signature key
-    struct ShapeDefault {
-      bool ready = false;
-      StoreEntry entry;
-      std::vector<Value> slots;
-      size_t binding_slot = 0;
-    };
-    std::vector<ShapeDefault> defaults(partition.shapes.size());
-    // Sorted constants per shape, for the collision test.
-    std::vector<std::vector<Value>> shape_consts(partition.shapes.size());
-    for (size_t s = 0; s < partition.shapes.size(); ++s) {
-      std::vector<Value>& consts = shape_consts[s];
-      ForEachUcqTerm(partition.shapes[s].query, [&](size_t, const Term& t) {
-        if (!t.is_var()) consts.push_back(t.constant);
-      });
-      std::sort(consts.begin(), consts.end());
-      consts.erase(std::unique(consts.begin(), consts.end()), consts.end());
-    }
-    auto plan_for = [&](const UcqSignature& sig,
-                        const BlockTask& task) -> const StoreEntry& {
-      auto it = store.find(sig.key);
-      if (it == store.end()) {
-        StoreEntry entry;
-        auto tmpl_or =
-            ConObddTemplate::Plan(db, is_prob, MaterializeTaskQuery(partition, task));
-        if (tmpl_or.ok()) {
-          templates.push_back(std::move(*tmpl_or));
-          entry.tmpl = templates.back().get();
-        } else {
-          entry.status = tmpl_or.status();
-        }
-        it = store.emplace(sig.key, std::move(entry)).first;
-      }
-      return it->second;
-    };
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      const BlockTask& task = tasks[i];
-      if (task.shape < 0) continue;  // undecomposed group: classic path
-      const BlockShape& shape =
-          partition.shapes[static_cast<size_t>(task.shape)];
-      const std::vector<Value>& consts =
-          shape_consts[static_cast<size_t>(task.shape)];
-      const StoreEntry* entry = nullptr;
-      if (std::binary_search(consts.begin(), consts.end(), task.binding)) {
-        // Collision: compute this binding's own signature.
-        const UcqSignature sig = ComputeGroundedSignature(
-            shape.query, shape.sep_var_of_disjunct, task.binding);
-        const StoreEntry& e = plan_for(sig, task);
-        entry = &e;
-        if (e.status.ok()) {
-          task_plans[i].slots_begin = static_cast<uint32_t>(slot_arena.size());
-          task_plans[i].slots_len = static_cast<uint32_t>(sig.slots.size());
-          slot_arena.insert(slot_arena.end(), sig.slots.begin(),
-                            sig.slots.end());
-        }
-      } else {
-        ShapeDefault& def = defaults[static_cast<size_t>(task.shape)];
-        if (!def.ready) {
-          UcqSignature sig = ComputeGroundedSignature(
-              shape.query, shape.sep_var_of_disjunct, task.binding);
-          def.entry = plan_for(sig, task);
-          def.slots = std::move(sig.slots);
-          if (def.entry.status.ok()) {
-            const auto slot = std::find(def.slots.begin(), def.slots.end(),
-                                        task.binding);
-            MVDB_CHECK(slot != def.slots.end());
-            def.binding_slot =
-                static_cast<size_t>(slot - def.slots.begin());
-          }
-          def.ready = true;
-        }
-        entry = &def.entry;
-        if (def.entry.status.ok()) {
-          task_plans[i].slots_begin = static_cast<uint32_t>(slot_arena.size());
-          task_plans[i].slots_len = static_cast<uint32_t>(def.slots.size());
-          slot_arena.insert(slot_arena.end(), def.slots.begin(),
-                            def.slots.end());
-          slot_arena[task_plans[i].slots_begin + def.binding_slot] =
-              task.binding;
-        }
-      }
-      if (!entry->status.ok()) {
-        compiled[i].status = entry->status;
-        compiled[i].key = task.key;
-      } else {
-        task_plans[i].tmpl = entry->tmpl;
-        ++stats.template_blocks;
-      }
-    }
-    stats.plan_templates = templates.size();
-    stats.template_plan_seconds = template_timer.Seconds();
+  // template — one per structural signature, not one per block. A failed
+  // plan fails every task that maps to it; the canonical scan below reports
+  // the first failing task in task order no matter which workers ran first.
+  Timer template_timer;
+  BlockPlans plans = PlanBlockTasks(db, is_prob, partition);
+  for (const TaskPlan& p : plans.tasks) {
+    if (p.tmpl != nullptr) ++stats.template_blocks;
   }
+  stats.plan_templates = plans.templates.size();
+  stats.template_plan_seconds = template_timer.Seconds();
 
-  // Stage 2b (parallel): execute the templates / classic-compile the rest.
+  // Stage 2b (parallel): execute the templates; undecomposed groups run
+  // ConObddBuilder.
   const int shards = EffectiveThreads(options.num_threads, tasks.size());
   stats.shards = shards;
   if (shards > 1) {
@@ -373,12 +260,9 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   }
   std::vector<BlockCompileScratch> shard_scratch(static_cast<size_t>(shards));
   ParallelFor(shards, tasks.size(), [&](int shard, size_t i) {
-    CompiledBlock& out = compiled[i];
-    if (!out.status.ok()) return;  // template planning already failed it
-    out.key = tasks[i].key;
-    CompileBlock(db, partition, tasks[i], task_plans[i], slot_arena,
-                 level_probs, shard_mgrs[static_cast<size_t>(shard)].get(),
-                 &shard_scratch[static_cast<size_t>(shard)], &out);
+    CompileBlock(db, partition, plans, i, level_probs,
+                 shard_mgrs[static_cast<size_t>(shard)].get(),
+                 &shard_scratch[static_cast<size_t>(shard)], &compiled[i]);
   });
   for (const auto& m : shard_mgrs) {
     stats.peak_manager_nodes += m->num_created();
@@ -420,9 +304,7 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   // phase instead of falling between import_seconds and the engine's total
   // clock — the phase timings are required to sum to the build wall time.
   partition = PartitionResult{};
-  task_plans = {};
-  slot_arena = {};
-  templates.clear();
+  plans = BlockPlans{};
   compiled = {};
   stats.stitch_seconds = timer.Seconds();
 
@@ -487,18 +369,8 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
     const auto [begin, end] = flat_->NodesAtLevel(l);
     if (begin == end) continue;  // no chain node branches on this level
     // The level belongs to exactly one block (blocks occupy disjoint level
-    // ranges): binary-search the block directory for its flat position.
-    size_t lo = 0;
-    size_t hi = blocks_.size();
-    while (lo + 1 < hi) {
-      const size_t mid = lo + (hi - lo) / 2;
-      if (blocks_[mid].chain_root <= begin) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    if (lo < blocks_.size()) dirty_blocks.push_back(lo);
+    // ranges): the block that owns its first flat node.
+    if (!blocks_.empty()) dirty_blocks.push_back(BlockOf(begin));
   }
   if (var_probs_.empty()) {
     var_probs_ = var_probs;  // first snapshot over a loaded index
@@ -614,75 +486,59 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   // see, including tasks for brand-new separator values.
   PartitionResult partition = PartitionBlocks(db, w, is_prob);
 
-  std::unordered_set<std::string> dirty(dirty_keys.begin(), dirty_keys.end());
+  const std::unordered_set<std::string> dirty_set(dirty_keys.begin(),
+                                                  dirty_keys.end());
+  std::vector<bool> dirty(partition.tasks.size());
+  for (size_t i = 0; i < partition.tasks.size(); ++i) {
+    dirty[i] = dirty_set.contains(partition.tasks[i].key);
+  }
   std::unordered_map<std::string, size_t> old_block_by_key;
   old_block_by_key.reserve(blocks_.size());
   for (size_t i = 0; i < blocks_.size(); ++i) {
     old_block_by_key.emplace(blocks_[i].key, i);
   }
 
-  // Compile dirty tasks through the per-shape plan templates — planned once
-  // per structural signature, executed per binding — in a scratch manager
-  // over the new order; extract every clean block's flattened piece from the
-  // current chain with levels remapped. Both kinds land in per-task slots so
-  // the downstream sort/merge/stitch sees the canonical task order.
+  // Plan the dirty tasks exactly as Build plans every task, compile them in
+  // a scratch manager over the new order, and extract every clean block's
+  // flattened piece from the current chain with levels remapped. Both kinds
+  // land in per-task slots so the downstream sort/merge/stitch sees the
+  // canonical task order.
+  const BlockPlans plans = PlanBlockTasks(db, is_prob, partition, dirty);
   BddManager shard(new_mgr->order());
   BlockCompileScratch scratch;
-  std::unordered_map<std::string, std::unique_ptr<const ConObddTemplate>>
-      templates;  // by signature key
   std::vector<CompiledBlock> compiled(partition.tasks.size());
   size_t recompiled = 0;
   for (size_t i = 0; i < partition.tasks.size(); ++i) {
-    const BlockTask& task = partition.tasks[i];
     CompiledBlock& out = compiled[i];
-    out.key = task.key;
-    if (!dirty.contains(task.key)) {
-      // A clean task's query and data are unchanged (a new separator value
-      // arrives through a touched tuple, so its task is dirty): one absent
-      // from the old chain (NOT W_b true) stays absent, and a present one
-      // re-extracts its stitched slice as a standalone piece.
-      const auto old_it = old_block_by_key.find(task.key);
-      if (old_it == old_block_by_key.end()) continue;
-      const size_t b = old_it->second;
-      const FlatId begin = blocks_[b].chain_root;
-      const FlatId end = b + 1 < blocks_.size()
-                             ? blocks_[b + 1].chain_root
-                             : static_cast<FlatId>(flat_->size());
-      out.flat = flat_->ExtractBlock(begin, end, blocks_[b].chain_root,
-                                     level_map);
-      out.present = true;
-      out.first_level = out.flat.levels.front();
-      out.last_level = out.flat.levels.back();
-      // Uniform recompute (not a copy of the stored prob): same recurrence
-      // FinishBlock runs, so clean and recompiled blocks are
-      // indistinguishable from a from-scratch build's output.
-      out.prob = FlatObdd::BlockProbScaled(out.flat, level_probs,
-                                           &scratch.prob_vals);
+    if (dirty[i]) {
+      ++recompiled;
+      CompileBlock(db, partition, plans, i, level_probs, &shard, &scratch,
+                   &out);
+      MVDB_RETURN_NOT_OK(out.status);
       continue;
     }
-    ++recompiled;
-    StatusOr<NodeId> f_or = BddManager::kFalse;
-    if (task.shape >= 0) {
-      const BlockShape& shape =
-          partition.shapes[static_cast<size_t>(task.shape)];
-      const UcqSignature sig = ComputeGroundedSignature(
-          shape.query, shape.sep_var_of_disjunct, task.binding);
-      auto tmpl_it = templates.find(sig.key);
-      if (tmpl_it == templates.end()) {
-        auto tmpl_or = ConObddTemplate::Plan(
-            db, is_prob, MaterializeTaskQuery(partition, task));
-        if (!tmpl_or.ok()) return tmpl_or.status();
-        tmpl_it = templates.emplace(sig.key, std::move(*tmpl_or)).first;
-      }
-      f_or = tmpl_it->second->Execute(std::span<const Value>(sig.slots),
-                                      &shard, &scratch.con);
-    } else {
-      ConObddBuilder builder(db, &shard);
-      f_or = builder.Build(task.query);
-    }
-    if (!f_or.ok()) return f_or.status();
-    FinishBlock(&shard, f_or.value(), level_probs, &scratch, &out);
-    MVDB_RETURN_NOT_OK(out.status);
+    // A clean task's query and data are unchanged (a new separator value
+    // arrives through a touched tuple, so its task is dirty): one absent
+    // from the old chain (NOT W_b true) stays absent, and a present one
+    // re-extracts its stitched slice as a standalone piece.
+    out.key = partition.tasks[i].key;
+    const auto old_it = old_block_by_key.find(out.key);
+    if (old_it == old_block_by_key.end()) continue;
+    const size_t b = old_it->second;
+    const FlatId begin = blocks_[b].chain_root;
+    const FlatId end = b + 1 < blocks_.size()
+                           ? blocks_[b + 1].chain_root
+                           : static_cast<FlatId>(flat_->size());
+    out.flat = flat_->ExtractBlock(begin, end, blocks_[b].chain_root,
+                                   level_map);
+    out.present = true;
+    out.first_level = out.flat.levels.front();
+    out.last_level = out.flat.levels.back();
+    // Uniform recompute (not a copy of the stored prob): same recurrence
+    // FinishBlock runs, so clean and recompiled blocks are
+    // indistinguishable from a from-scratch build's output.
+    out.prob =
+        FlatObdd::BlockProbScaled(out.flat, level_probs, &scratch.prob_vals);
   }
 
   // Assemble exactly as Build does; only on success is the index rebound.

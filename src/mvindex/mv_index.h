@@ -127,12 +127,6 @@ struct MvIndexBuildOptions {
   /// shard's node vector, unique table and apply caches so large builds
   /// stop rehashing mid-compile. 0 = no reservation.
   size_t reserve_hint = 0;
-  /// Compile each block through a shared per-shape plan template (plan the
-  /// block-query shape once, execute it per separator value) instead of
-  /// re-planning every grounded block query from scratch. The output is
-  /// bit-identical either way; false is the classic per-block reference
-  /// that mvindex_template_test compares the template path against.
-  bool use_plan_templates = true;
 };
 
 /// What the offline build did — the numbers bench_build_scale reports.
@@ -157,10 +151,10 @@ struct MvIndexBuildStats {
   /// Distinct block-query plan templates compiled (one per structural
   /// signature; a DBLP-scale W has a handful for its ~200K blocks).
   size_t plan_templates = 0;
-  /// Blocks executed through a shared template (the rest — undecomposed
-  /// groups, or all blocks when use_plan_templates is off — take the
-  /// classic per-block planning path). After ApplyStructuralDelta: the
-  /// dirty tasks that delta recompiled (clean blocks are re-extracted).
+  /// Blocks executed through a shared template (the rest are undecomposed
+  /// groups, which ConObddBuilder plans and executes once each). After
+  /// ApplyStructuralDelta: the dirty tasks that delta recompiled (clean
+  /// blocks are re-extracted).
   size_t template_blocks = 0;
   /// Serial template-planning prefix of the compile phase (included in
   /// compile_seconds).
@@ -236,13 +230,13 @@ class MvIndex {
   ///
   /// The build is a three-stage pipeline: partition W into variable-disjoint
   /// block tasks (independent view groups x separator values, emitted as
-  /// per-group shapes plus (shape, value) bindings), compile each block in
-  /// one of `options.num_threads` shards — every shard owns a private
-  /// BddManager sharing the immutable VarOrder, and executes a per-shape
-  /// plan template compiled once per structural signature rather than
-  /// re-planning each grounded block query (obdd/conobdd.h,
-  /// ConObddTemplate; disable via options.use_plan_templates) — and flatten
-  /// each block standalone, then stitch the per-block pieces into the flat
+  /// per-group shapes plus (shape, value) bindings), map the tasks onto
+  /// per-shape plan templates, one per structural signature
+  /// (mvindex/partition.h, PlanBlockTasks), compile each block in one of
+  /// `options.num_threads` shards — every shard owns a private BddManager
+  /// sharing the immutable VarOrder and executes the shared templates
+  /// (obdd/conobdd.h, ConObddTemplate) — and flatten each block
+  /// standalone, then stitch the per-block pieces into the flat
   /// chain by direct emission (no global NodeId -> FlatId map). Only the
   /// finished chain is imported into `mgr`; per-shard compile state is
   /// discarded.
@@ -300,13 +294,13 @@ class MvIndex {
   /// order with the new variables spliced in; obdd/order.h,
   /// InsertVarsIntoOrder) and `dirty_keys` names the partition task keys
   /// whose grounded block queries changed. Re-partitions W (serially) over
-  /// the updated database, recompiles exactly the dirty tasks — decomposed
-  /// groups through the per-shape plan templates, undecomposed ones through
-  /// ConObddBuilder — reuses every clean block's flattened piece from the
-  /// current chain (levels remapped through the order change), and
-  /// restitches + reannotates — bit-identical to Build(db, w, new_mgr, ...)
-  /// by construction. On success the index is bound to `new_mgr` and the
-  /// manager-side chain import resets (re-imported lazily on demand).
+  /// the updated database, plans and compiles exactly the dirty tasks the
+  /// way Build plans and compiles every task, reuses every clean block's
+  /// flattened piece from the current chain (levels remapped through the
+  /// order change), and restitches + reannotates — bit-identical to
+  /// Build(db, w, new_mgr, ...) by construction. On success the index is
+  /// bound to `new_mgr` and the manager-side chain import resets
+  /// (re-imported lazily on demand).
   Status ApplyStructuralDelta(const Database& db, const Ucq& w,
                               BddManager* new_mgr,
                               const std::vector<double>& var_probs,

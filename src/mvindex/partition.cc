@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "util/logging.h"
@@ -108,6 +109,94 @@ Ucq MaterializeTaskQuery(const PartitionResult& partition,
   for (size_t d = 0; d < out.disjuncts.size(); ++d) {
     const int z = shape.sep_var_of_disjunct[d];
     if (z >= 0) SubstituteInDisjunct(&out, d, z, task.binding);
+  }
+  return out;
+}
+
+BlockPlans PlanBlockTasks(const Database& db, const IsProbFn& is_prob,
+                          const PartitionResult& partition,
+                          const std::vector<bool>& wanted) {
+  BlockPlans out;
+  out.tasks.resize(partition.tasks.size());
+  struct StoreEntry {
+    const ConObddTemplate* tmpl = nullptr;
+    Status status = Status::OK();
+  };
+  std::unordered_map<std::string, StoreEntry> store;  // by signature key
+  struct ShapeDefault {
+    bool ready = false;
+    StoreEntry entry;
+    std::vector<Value> slots;
+    size_t binding_slot = 0;
+  };
+  std::vector<ShapeDefault> defaults(partition.shapes.size());
+  // Sorted constants per shape, for the collision test.
+  std::vector<std::vector<Value>> shape_consts(partition.shapes.size());
+  for (size_t s = 0; s < partition.shapes.size(); ++s) {
+    std::vector<Value>& consts = shape_consts[s];
+    ForEachUcqTerm(partition.shapes[s].query, [&](size_t, const Term& t) {
+      if (!t.is_var()) consts.push_back(t.constant);
+    });
+    std::sort(consts.begin(), consts.end());
+    consts.erase(std::unique(consts.begin(), consts.end()), consts.end());
+  }
+  auto plan_for = [&](const UcqSignature& sig,
+                      const BlockTask& task) -> const StoreEntry& {
+    auto it = store.find(sig.key);
+    if (it == store.end()) {
+      StoreEntry entry;
+      auto tmpl_or = ConObddTemplate::Plan(
+          db, is_prob, MaterializeTaskQuery(partition, task));
+      if (tmpl_or.ok()) {
+        out.templates.push_back(std::move(*tmpl_or));
+        entry.tmpl = out.templates.back().get();
+      } else {
+        entry.status = tmpl_or.status();
+      }
+      it = store.emplace(sig.key, std::move(entry)).first;
+    }
+    return it->second;
+  };
+  for (size_t i = 0; i < partition.tasks.size(); ++i) {
+    const BlockTask& task = partition.tasks[i];
+    if (task.shape < 0) continue;  // undecomposed group: ConObddBuilder
+    if (!wanted.empty() && !wanted[i]) continue;
+    const BlockShape& shape = partition.shapes[static_cast<size_t>(task.shape)];
+    const std::vector<Value>& consts =
+        shape_consts[static_cast<size_t>(task.shape)];
+    TaskPlan& plan = out.tasks[i];
+    const StoreEntry* entry = nullptr;
+    if (std::binary_search(consts.begin(), consts.end(), task.binding)) {
+      // Collision: compute this binding's own signature.
+      const UcqSignature sig = ComputeGroundedSignature(
+          shape.query, shape.sep_var_of_disjunct, task.binding);
+      entry = &plan_for(sig, task);
+      plan.slots_begin = static_cast<uint32_t>(out.slot_arena.size());
+      plan.slots_len = static_cast<uint32_t>(sig.slots.size());
+      out.slot_arena.insert(out.slot_arena.end(), sig.slots.begin(),
+                            sig.slots.end());
+    } else {
+      ShapeDefault& def = defaults[static_cast<size_t>(task.shape)];
+      if (!def.ready) {
+        UcqSignature sig = ComputeGroundedSignature(
+            shape.query, shape.sep_var_of_disjunct, task.binding);
+        def.entry = plan_for(sig, task);
+        def.slots = std::move(sig.slots);
+        const auto slot =
+            std::find(def.slots.begin(), def.slots.end(), task.binding);
+        MVDB_CHECK(slot != def.slots.end());
+        def.binding_slot = static_cast<size_t>(slot - def.slots.begin());
+        def.ready = true;
+      }
+      entry = &def.entry;
+      plan.slots_begin = static_cast<uint32_t>(out.slot_arena.size());
+      plan.slots_len = static_cast<uint32_t>(def.slots.size());
+      out.slot_arena.insert(out.slot_arena.end(), def.slots.begin(),
+                            def.slots.end());
+      out.slot_arena[plan.slots_begin + def.binding_slot] = task.binding;
+    }
+    plan.tmpl = entry->tmpl;
+    plan.status = entry->status;
   }
   return out;
 }

@@ -14,19 +14,26 @@
 // DBLP-scale group share the shape, which is what lets the compile stage
 // plan each block-query shape once and execute it per task
 // (obdd/conobdd.h, ConObddTemplate). MaterializeTaskQuery reconstructs the
-// grounded query of any task (tests, template exemplars, the template-off
-// escape hatch); the reconstruction is exactly the substitution the old
-// per-task rewrite performed, so task identity is unchanged.
+// grounded query of any task (tests, template exemplars); the
+// reconstruction is exactly the substitution the old per-task rewrite
+// performed, so task identity is unchanged. PlanBlockTasks is the compile
+// stage's serial prefix: it maps tasks onto shared templates, for a full
+// build and for a structural delta's dirty tasks alike.
 
 #ifndef MVDB_MVINDEX_PARTITION_H_
 #define MVDB_MVINDEX_PARTITION_H_
 
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "obdd/conobdd.h"
 #include "query/analysis.h"
 #include "query/ast.h"
 #include "relational/database.h"
+#include "util/status.h"
 
 namespace mvdb {
 
@@ -68,6 +75,42 @@ PartitionResult PartitionBlocks(const Database& db, const Ucq& w,
 /// substituted by the task's binding (shape >= 0), or the task's own query.
 Ucq MaterializeTaskQuery(const PartitionResult& partition,
                          const BlockTask& task);
+
+/// How the compile stage builds one task's block OBDD: by executing a
+/// shared plan template with the task's slot binding (tmpl != nullptr), or,
+/// for an undecomposed group, by ConObddBuilder on task.query. A task
+/// whose template failed to plan carries that failure in `status`.
+struct TaskPlan {
+  const ConObddTemplate* tmpl = nullptr;
+  uint32_t slots_begin = 0;
+  uint32_t slots_len = 0;
+  Status status = Status::OK();
+};
+
+/// PlanBlockTasks' output: one TaskPlan per partition task, the templates
+/// they share and the slot bindings they point into.
+struct BlockPlans {
+  std::vector<std::unique_ptr<const ConObddTemplate>> templates;
+  std::vector<TaskPlan> tasks;
+  std::vector<Value> slot_arena;
+
+  std::span<const Value> slots(const TaskPlan& plan) const {
+    return std::span<const Value>(slot_arena)
+        .subspan(plan.slots_begin, plan.slots_len);
+  }
+};
+
+/// Maps every task of a decomposed group onto a plan template — one per
+/// structural signature, not one per block. Tasks whose separator value
+/// collides with a constant of the shape's own query have a different
+/// constant-equality pattern (hence signature) and get their own template;
+/// every other task of the shape shares the shape's default one, with its
+/// binding written into the default's slot vector. A failed plan fails
+/// every task that maps to it. `wanted` (empty, or one flag per task)
+/// restricts planning to the flagged tasks; the rest keep an empty plan.
+BlockPlans PlanBlockTasks(const Database& db, const IsProbFn& is_prob,
+                          const PartitionResult& partition,
+                          const std::vector<bool>& wanted = {});
 
 /// Maps touched probabilistic tuples to the partition task keys whose
 /// grounded block queries can read them — the dirty set an incremental

@@ -51,15 +51,27 @@ Ucq SubUcq(const Ucq& q, const std::vector<size_t>& disjuncts) {
   return out;
 }
 
-}  // namespace
-
-StatusOr<NodeId> ConObddBuilder::Build(const Ucq& boolean_query) {
-  if (!boolean_query.IsBoolean()) {
-    return Status::InvalidArgument("ConObdd requires a Boolean query");
-  }
-  MVDB_ASSIGN_OR_RETURN(ConResult r, BuildUcq(boolean_query));
-  return r.id;
+void SortByMinLevel(std::vector<ConResult>* parts) {
+  std::sort(parts->begin(), parts->end(),
+            [](const ConResult& a, const ConResult& b) {
+              return a.min_level < b.min_level;
+            });
 }
+
+/// Folds non-empty `parts` right to left: Concat(f, g) rebuilds f only, so
+/// folding from the back rebuilds each part once (linear) instead of
+/// rebuilding the growing chain at every step (quadratic).
+ConResult FoldRight(const std::vector<ConResult>& parts, ConObddBuilder* b,
+                    ConResult (ConObddBuilder::*combine)(const ConResult&,
+                                                         const ConResult&)) {
+  ConResult acc = parts.back();
+  for (size_t i = parts.size() - 1; i-- > 0;) {
+    acc = (b->*combine)(parts[i], acc);
+  }
+  return acc;
+}
+
+}  // namespace
 
 ConResult ConObddBuilder::CombineOr(const ConResult& a,
                                     const ConResult& b) {
@@ -132,151 +144,11 @@ ConResult ConObddBuilder::FromLineage(const Lineage& lineage) {
   return out;
 }
 
-StatusOr<ConResult> ConObddBuilder::BuildFallback(const Ucq& q) {
-  MVDB_ASSIGN_OR_RETURN(Lineage lineage, EvalBoolean(db_, q));
-  return FromLineage(lineage);
-}
-
-StatusOr<ConResult> ConObddBuilder::BuildUcq(const Ucq& q) {
-  // Separate disjuncts with no probabilistic atoms: each is deterministically
-  // true or false on I_poss; a true one makes the whole query true.
-  Ucq pruned = q;
-  for (size_t d = 0; d < q.disjuncts.size(); ++d) {
-    if (HasProbAtom(q.disjuncts[d], is_prob_)) continue;
-    Ucq single = SubUcq(q, {d});
-    MVDB_ASSIGN_OR_RETURN(Lineage lin, EvalBoolean(db_, single));
-    if (lin.IsTrue()) {
-      ConResult out;
-      out.id = BddManager::kTrue;
-      return out;
-    }
-  }
-  std::erase_if(pruned.disjuncts, [&](const ConjunctiveQuery& cq) {
-    return !HasProbAtom(cq, is_prob_);
-  });
-  if (pruned.disjuncts.empty()) return ConResult{};  // false
-
-  // R1: independent unions concatenate.
-  const auto groups = IndependentUnionComponents(pruned, is_prob_);
-  if (groups.size() > 1) {
-    std::vector<ConResult> parts;
-    for (const auto& g : groups) {
-      MVDB_ASSIGN_OR_RETURN(ConResult r, BuildUcq(SubUcq(pruned, g)));
-      parts.push_back(r);
-    }
-    std::sort(parts.begin(), parts.end(),
-              [](const ConResult& a, const ConResult& b) {
-                return a.min_level < b.min_level;
-              });
-    // Fold right-to-left: ConcatOr(f, g) rebuilds f only, so folding from
-    // the back rebuilds each part once (linear) instead of rebuilding the
-    // growing chain at every step (quadratic).
-    ConResult acc = parts.back();
-    for (size_t i = parts.size() - 1; i-- > 0;) acc = CombineOr(parts[i], acc);
-    return acc;
-  }
-
-  // R2: a single CQ splits into independent join components.
-  if (pruned.disjuncts.size() == 1) {
-    auto comps = ConnectedComponents(pruned.disjuncts[0], is_prob_);
-    if (comps.size() > 1) {
-      std::vector<ConResult> parts;
-      for (auto& comp : comps) {
-        Ucq sub = pruned;
-        sub.disjuncts = {std::move(comp)};
-        // Deterministic-only components are constraints: true keeps the
-        // conjunction, false kills it.
-        if (!HasProbAtom(sub.disjuncts[0], is_prob_)) {
-          MVDB_ASSIGN_OR_RETURN(Lineage lin, EvalBoolean(db_, sub));
-          if (!lin.IsTrue()) return ConResult{};  // false conjunct
-          continue;
-        }
-        MVDB_ASSIGN_OR_RETURN(ConResult r, BuildUcq(sub));
-        parts.push_back(r);
-      }
-      if (parts.empty()) {
-        ConResult out;
-        out.id = BddManager::kTrue;
-        return out;
-      }
-      std::sort(parts.begin(), parts.end(),
-                [](const ConResult& a, const ConResult& b) {
-                  return a.min_level < b.min_level;
-                });
-      // Right-to-left fold: each part rebuilt once (see CombineOr above).
-      ConResult acc = parts.back();
-      for (size_t i = parts.size() - 1; i-- > 0;) {
-        acc = CombineAnd(parts[i], acc);
-      }
-      return acc;
-    }
-  }
-
-  // R3: separator decomposition over the active domain.
-  if (auto sep = FindSeparator(pruned, is_prob_); sep.has_value()) {
-    // Only decompose if at least one disjunct still has a variable to ground
-    // (all-ground queries go to the fallback).
-    bool any_var = false;
-    for (int v : sep->var_of_disjunct) any_var |= (v >= 0);
-    if (any_var) {
-      // Collect candidate separator values: per disjunct, intersect the
-      // distinct values of the separator column across its probabilistic
-      // atoms; union across disjuncts.
-      std::set<Value> domain;
-      for (size_t d = 0; d < pruned.disjuncts.size(); ++d) {
-        const int z = sep->var_of_disjunct[d];
-        if (z < 0) continue;
-        std::vector<Value> values;
-        bool first = true;
-        for (const Atom& a : pruned.disjuncts[d].atoms) {
-          if (!is_prob_(a.relation)) continue;
-          const size_t pos = sep->position.at(a.relation);
-          std::vector<Value> col = AtomColumnDomain(db_, a, pos);
-          if (first) {
-            values = std::move(col);
-            first = false;
-          } else {
-            std::vector<Value> merged;
-            std::set_intersection(values.begin(), values.end(), col.begin(),
-                                  col.end(), std::back_inserter(merged));
-            values = std::move(merged);
-          }
-        }
-        domain.insert(values.begin(), values.end());
-      }
-      std::vector<ConResult> blocks;
-      blocks.reserve(domain.size());
-      for (Value a : domain) {
-        Ucq sub = pruned;
-        for (size_t d = 0; d < sub.disjuncts.size(); ++d) {
-          const int z = sep->var_of_disjunct[d];
-          if (z >= 0) SubstituteInDisjunct(&sub, d, z, a);
-        }
-        MVDB_ASSIGN_OR_RETURN(ConResult r, BuildUcq(sub));
-        if (r.id == BddManager::kTrue) return r;
-        if (r.id != BddManager::kFalse) blocks.push_back(r);
-      }
-      if (blocks.empty()) return ConResult{};  // false
-      // Domain values ascend, and the separator-first order makes block
-      // ranges ascend with them; fold right-to-left so each block is
-      // rebuilt at most once (Proposition 1's linear bound).
-      ConResult acc = blocks.back();
-      for (size_t i = blocks.size() - 1; i-- > 0;) {
-        acc = CombineOr(blocks[i], acc);
-      }
-      return acc;
-    }
-  }
-
-  // R4: residual subquery — classic synthesis on its lineage.
-  return BuildFallback(pruned);
-}
-
 // ---------------------------------------------------------------------------
-// ConObddTemplate: the plan-once / execute-per-block form of BuildUcq.
+// ConObddTemplate: the Section 4.2 recursion, planned once per shape.
 // ---------------------------------------------------------------------------
 
-/// One mirrored BuildUcq invocation. `det_checks` replays the
+/// One step of the recursion on a (sub-)query. `det_checks` replays the
 /// deterministic-disjunct prune (value-dependent truth, so evaluated per
 /// binding); the kind records which rule the signature selects.
 struct ConObddTemplateNode {
@@ -285,8 +157,9 @@ struct ConObddTemplateNode {
     kLeaf,     ///< R4 residual: prepared join plans + lineage synthesis
     kOrFold,   ///< R1 independent unions
     kAndFold,  ///< R2 independent join components
-    kGeneric,  ///< R3 separator decomposition: domain is value-dependent,
-               ///< so the grounded residual runs the classic recursion
+    kGeneric,  ///< R3 separator decomposition: the active domain is
+               ///< value-dependent, so each value's sub-query is planned
+               ///< and executed per binding
   };
 
   /// R2 child: either a probabilistic sub-node or a deterministic-only
@@ -300,7 +173,8 @@ struct ConObddTemplateNode {
   std::vector<std::unique_ptr<const PlanTemplate>> det_checks;
   std::unique_ptr<const PlanTemplate> leaf;
   std::vector<Child> children;
-  Ucq generic;  ///< abstracted residual for kGeneric
+  Ucq generic;    ///< kGeneric: abstracted residual
+  Separator sep;  ///< kGeneric: its separator (constant-independent)
 };
 
 ConObddTemplate::ConObddTemplate() = default;
@@ -367,14 +241,17 @@ Status ConObddTemplate::PlanNode(const Database& db, const IsProbFn& is_prob,
     }
   }
 
-  // R3: the separator *choice* is structural but the active-domain
-  // expansion is not — bind the residual and run the classic recursion.
+  // R3: the separator depends on variables alone, so it is fixed at plan
+  // time; its active domain is expanded per binding.
   if (auto sep = FindSeparator(pruned, is_prob); sep.has_value()) {
+    // Only decompose if at least one disjunct still has a variable to ground
+    // (all-ground queries go to the R4 leaf).
     bool any_var = false;
     for (int v : sep->var_of_disjunct) any_var |= (v >= 0);
     if (any_var) {
       out->kind = ConObddTemplateNode::Kind::kGeneric;
       out->generic = std::move(pruned);
+      out->sep = std::move(*sep);
       return Status::OK();
     }
   }
@@ -388,14 +265,16 @@ Status ConObddTemplate::PlanNode(const Database& db, const IsProbFn& is_prob,
 }
 
 StatusOr<std::unique_ptr<const ConObddTemplate>> ConObddTemplate::Plan(
-    const Database& db, const IsProbFn& is_prob, const Ucq& exemplar) {
+    const Database& db, const IsProbFn& is_prob, const Ucq& exemplar,
+    std::vector<Value>* exemplar_slots) {
   if (!exemplar.IsBoolean()) {
     return Status::InvalidArgument("ConObdd requires a Boolean query");
   }
   std::unique_ptr<ConObddTemplate> tmpl(new ConObddTemplate());
   tmpl->db_ = &db;
   Ucq abstracted = exemplar;
-  AbstractUcqConstants(&abstracted);
+  std::vector<Value> slots = AbstractUcqConstants(&abstracted);
+  if (exemplar_slots != nullptr) *exemplar_slots = std::move(slots);
   tmpl->root_ = std::make_unique<ConObddTemplateNode>();
   MVDB_RETURN_NOT_OK(PlanNode(db, is_prob, abstracted, tmpl->root_.get()));
   return std::unique_ptr<const ConObddTemplate>(std::move(tmpl));
@@ -406,7 +285,7 @@ StatusOr<ConResult> ConObddTemplate::ExecNode(const ConObddTemplateNode& node,
                                               ConObddScratch* scratch,
                                               ConObddBuilder* helper) const {
   // Deterministic-disjunct prune: a true disjunct makes the whole query
-  // certainly true on I_poss (same early exit as BuildUcq).
+  // certainly true on I_poss.
   for (const auto& check : node.det_checks) {
     MVDB_RETURN_NOT_OK(
         check->ExecuteBoolean(slots, &scratch->eval, &scratch->lineage));
@@ -432,16 +311,8 @@ StatusOr<ConResult> ConObddTemplate::ExecNode(const ConObddTemplateNode& node,
                               ExecNode(*child.sub, slots, scratch, helper));
         parts.push_back(r);
       }
-      std::sort(parts.begin(), parts.end(),
-                [](const ConResult& a, const ConResult& b) {
-                  return a.min_level < b.min_level;
-                });
-      // Right-to-left fold: each part rebuilt once (see BuildUcq).
-      ConResult acc = parts.back();
-      for (size_t i = parts.size() - 1; i-- > 0;) {
-        acc = helper->CombineOr(parts[i], acc);
-      }
-      return acc;
+      SortByMinLevel(&parts);
+      return FoldRight(parts, helper, &ConObddBuilder::CombineOr);
     }
     case ConObddTemplateNode::Kind::kAndFold: {
       std::vector<ConResult> parts;
@@ -464,20 +335,59 @@ StatusOr<ConResult> ConObddTemplate::ExecNode(const ConObddTemplateNode& node,
         out.id = BddManager::kTrue;
         return out;
       }
-      std::sort(parts.begin(), parts.end(),
-                [](const ConResult& a, const ConResult& b) {
-                  return a.min_level < b.min_level;
-                });
-      ConResult acc = parts.back();
-      for (size_t i = parts.size() - 1; i-- > 0;) {
-        acc = helper->CombineAnd(parts[i], acc);
-      }
-      return acc;
+      SortByMinLevel(&parts);
+      return FoldRight(parts, helper, &ConObddBuilder::CombineAnd);
     }
     case ConObddTemplateNode::Kind::kGeneric: {
       Ucq grounded = node.generic;
       BindUcqConstants(&grounded, slots);
-      return helper->BuildUcq(grounded);
+      // Candidate separator values: per disjunct, intersect the distinct
+      // values of the separator column across its probabilistic atoms;
+      // union across disjuncts.
+      std::set<Value> domain;
+      for (size_t d = 0; d < grounded.disjuncts.size(); ++d) {
+        if (node.sep.var_of_disjunct[d] < 0) continue;
+        std::vector<Value> values;
+        bool first = true;
+        for (const Atom& a : grounded.disjuncts[d].atoms) {
+          if (!helper->is_prob_(a.relation)) continue;
+          std::vector<Value> col = AtomColumnDomain(
+              helper->db_, a, node.sep.position.at(a.relation));
+          if (first) {
+            values = std::move(col);
+            first = false;
+          } else {
+            std::vector<Value> merged;
+            std::set_intersection(values.begin(), values.end(), col.begin(),
+                                  col.end(), std::back_inserter(merged));
+            values = std::move(merged);
+          }
+        }
+        domain.insert(values.begin(), values.end());
+      }
+      std::vector<ConResult> blocks;
+      blocks.reserve(domain.size());
+      std::vector<Value> sub_slots;
+      for (Value a : domain) {
+        Ucq sub = grounded;
+        for (size_t d = 0; d < sub.disjuncts.size(); ++d) {
+          const int z = node.sep.var_of_disjunct[d];
+          if (z >= 0) SubstituteInDisjunct(&sub, d, z, a);
+        }
+        MVDB_ASSIGN_OR_RETURN(
+            std::unique_ptr<const ConObddTemplate> sub_tmpl,
+            Plan(helper->db_, helper->is_prob_, sub, &sub_slots));
+        MVDB_ASSIGN_OR_RETURN(
+            ConResult r,
+            sub_tmpl->ExecNode(*sub_tmpl->root_, sub_slots, scratch, helper));
+        if (r.id == BddManager::kTrue) return r;
+        if (r.id != BddManager::kFalse) blocks.push_back(r);
+      }
+      if (blocks.empty()) return ConResult{};  // false
+      // Domain values ascend, and the separator-first order makes block
+      // ranges ascend with them; the right-to-left fold rebuilds each block
+      // at most once (Proposition 1's linear bound).
+      return FoldRight(blocks, helper, &ConObddBuilder::CombineOr);
     }
   }
   return Status::Internal("unreachable template node kind");
@@ -488,6 +398,17 @@ StatusOr<NodeId> ConObddTemplate::Execute(std::span<const Value> slots,
                                           ConObddScratch* scratch) const {
   ConObddBuilder helper(*db_, mgr);
   MVDB_ASSIGN_OR_RETURN(ConResult r, ExecNode(*root_, slots, scratch, &helper));
+  return r.id;
+}
+
+StatusOr<NodeId> ConObddBuilder::Build(const Ucq& boolean_query) {
+  std::vector<Value> slots;
+  MVDB_ASSIGN_OR_RETURN(
+      std::unique_ptr<const ConObddTemplate> tmpl,
+      ConObddTemplate::Plan(db_, is_prob_, boolean_query, &slots));
+  ConObddScratch scratch;
+  MVDB_ASSIGN_OR_RETURN(ConResult r,
+                        tmpl->ExecNode(*tmpl->root_, slots, &scratch, this));
   return r.id;
 }
 

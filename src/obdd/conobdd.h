@@ -1,7 +1,7 @@
 // Copyright 2026 The MarkoView Authors.
 //
 // ConOBDD (Section 4.2): OBDD construction driven by the structure of the
-// query rather than by blind synthesis. The recursion mirrors the paper's
+// query rather than by blind synthesis. The recursion follows the paper's
 // rules:
 //
 //   R1  Q = Q1 v Q2 : independent (symbol-disjoint) unions concatenate;
@@ -18,6 +18,11 @@
 // behaviour the paper describes. For inversion-free queries the construction
 // performs only concatenations and the result has constant width
 // (Proposition 2) — asserted by tests sweeping the domain size.
+//
+// There is one recursion: ConObddTemplate plans the rules once per query
+// shape and executes the plan per binding. ConObddBuilder::Build is that
+// plan executed once with the query's own constants, the way Eval is a
+// PlanTemplate executed once.
 
 #ifndef MVDB_OBDD_CONOBDD_H_
 #define MVDB_OBDD_CONOBDD_H_
@@ -56,7 +61,8 @@ class ConObddBuilder {
     };
   }
 
-  /// Builds the OBDD of a Boolean UCQ.
+  /// Builds the OBDD of a Boolean UCQ: plans it as a ConObddTemplate and
+  /// executes the plan once with the query's own constants.
   StatusOr<NodeId> Build(const Ucq& boolean_query);
 
   /// Number of concatenation combines performed (cheap path).
@@ -67,11 +73,7 @@ class ConObddBuilder {
  private:
   friend class ConObddTemplate;
 
-  StatusOr<ConResult> BuildUcq(const Ucq& q);
-  StatusOr<ConResult> BuildFallback(const Ucq& q);
-  /// BuildFallback's tail: lineage -> OBDD + level range (shared with the
-  /// template leaf execution, which evaluates the lineage via a prepared
-  /// plan instead of ad-hoc EvalBoolean).
+  /// R4: lineage -> OBDD + level range by classic synthesis.
   ConResult FromLineage(const Lineage& lineage);
   ConResult CombineOr(const ConResult& a, const ConResult& b);
   ConResult CombineAnd(const ConResult& a, const ConResult& b);
@@ -93,29 +95,32 @@ struct ConObddScratch {
 
 struct ConObddTemplateNode;
 
-/// Immutable compiled form of one block-query *shape*: the Section 4.2
+/// Immutable compiled form of one query *shape*: the Section 4.2
 /// construction with every value-independent decision made once at plan
-/// time. Plan() mirrors ConObddBuilder::BuildUcq on the constant-abstracted
-/// exemplar — the deterministic-disjunct prune set, the R1 union groups, the
-/// R2 join components and the R3-vs-fallback choice are all functions of the
-/// structural signature (query/analysis.h), not of the bound constants — and
-/// records a node tree whose leaves hold prepared PlanTemplate join plans.
-/// Execute() replays the tree with a concrete slot binding: only the
-/// value-dependent outcomes (deterministic-disjunct truth, join results,
-/// level ranges, the rare R3 separator expansion) are computed per block.
-/// The result is the same reduced OBDD the classic builder produces for the
-/// grounded query, at a fraction of the per-block cost — the MV-index
-/// compile stage plans each of its handful of shapes once and executes them
-/// ~200K times.
+/// time. Plan() runs the rules on the constant-abstracted exemplar — the
+/// deterministic-disjunct prune set, the R1 union groups, the R2 join
+/// components, the R3 separator and the R3-vs-R4 choice are all functions
+/// of the structural signature (query/analysis.h), not of the bound
+/// constants — and records a node tree whose leaves hold prepared
+/// PlanTemplate join plans. Execute() replays the tree with a concrete slot
+/// binding: only the value-dependent outcomes (deterministic-disjunct
+/// truth, join results, level ranges, the R3 active domain) are computed
+/// per binding; an R3 node plans and executes each domain value's
+/// sub-query. The result is the reduced OBDD of the grounded query, so
+/// every binding of a shape yields the same node as its own Build — the
+/// MV-index compile stage plans each of its handful of shapes once and
+/// executes them ~200K times.
 class ConObddTemplate {
  public:
   ~ConObddTemplate();
   ConObddTemplate(const ConObddTemplate&) = delete;
   ConObddTemplate& operator=(const ConObddTemplate&) = delete;
 
-  /// Plans the shape of `exemplar` (a grounded Boolean block query).
+  /// Plans the shape of `exemplar` (a grounded Boolean query). When
+  /// `exemplar_slots` is set it receives the exemplar's own binding.
   static StatusOr<std::unique_ptr<const ConObddTemplate>> Plan(
-      const Database& db, const IsProbFn& is_prob, const Ucq& exemplar);
+      const Database& db, const IsProbFn& is_prob, const Ucq& exemplar,
+      std::vector<Value>* exemplar_slots = nullptr);
 
   /// Builds the block OBDD for one binding inside `mgr` (slot order is the
   /// exemplar's structural signature — ComputeGroundedSignature supplies
@@ -125,6 +130,8 @@ class ConObddTemplate {
                            ConObddScratch* scratch) const;
 
  private:
+  friend class ConObddBuilder;
+
   ConObddTemplate();
 
   static Status PlanNode(const Database& db, const IsProbFn& is_prob,

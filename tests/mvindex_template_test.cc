@@ -1,24 +1,33 @@
-// Plan-template parity and error-propagation tests for the MV-index
-// compile stage. The template path (plan each block-query *shape* once,
-// execute per separator value — MvIndexBuildOptions::use_plan_templates)
-// must produce a bit-identical index to the classic per-block path on every
-// workload: same flat topology, same block metadata, same extended-range
-// probabilities. A DBLP-400 golden hash pins the output of both paths, and
-// the injected-failure tests pin the deterministic error contract: when
-// several blocks fail, the build reports the first failing block in
-// canonical task order — whether the failure surfaces at template planning
-// or during a worker's block execution, and regardless of thread count.
+// Synthesis-oracle and error-propagation tests for the MV-index compile
+// stage. The oracle is exact and independent of the Section 4.2 recursion:
+// every partition task's block OBDD, compiled the way MvIndex::Build
+// compiles it (PlanBlockTasks' shared templates with per-task slot
+// bindings, ConObddBuilder for undecomposed groups), must be the very node
+// plain clause-by-clause synthesis of the task's grounded lineage yields in
+// the same manager — reduced OBDDs are canonical under hash-consing — and
+// every unmerged block's standalone P(NOT W_b) must equal 1 - brute-force
+// P(W_b) of that lineage. It runs on 12 random MVDBs, on the
+// separator/constant collision corner and on DBLP-400. A DBLP-400 golden
+// hash pins the build at every thread count, and the injected-failure
+// tests pin the deterministic error contract: when several blocks fail,
+// the build reports the first failing block in canonical task order —
+// whether the failure surfaces at template planning or during a worker's
+// block execution, and regardless of thread count.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "core/engine.h"
 #include "dblp/dblp.h"
 #include "mvindex/mv_index.h"
+#include "mvindex/partition.h"
 #include "obdd/order.h"
+#include "prob/brute_force.h"
 #include "query/eval.h"
 #include "test_util.h"
 
@@ -30,51 +39,89 @@ using testing_util::MustParse;
 using testing_util::RandomMvdb;
 using testing_util::RandomMvdbSpec;
 
+/// Blocks with more variables than this skip the brute-force leg (2^k
+/// worlds); the NodeId leg covers every task regardless.
+constexpr size_t kBruteForceMaxVars = 20;
+
+/// Runs the synthesis oracle on the index `index` built from W over `db`.
+void ExpectMatchesSynthesisOracle(const Database& db, const Ucq& w,
+                                  const MvIndex& index) {
+  auto is_prob = [&db](const std::string& rel) {
+    const Table* t = db.Find(rel);
+    return t != nullptr && t->probabilistic();
+  };
+  const PartitionResult partition = PartitionBlocks(db, w, is_prob);
+  const BlockPlans plans = PlanBlockTasks(db, is_prob, partition);
+  ASSERT_EQ(plans.tasks.size(), partition.tasks.size());
+
+  // Leg 1: the compiled block OBDD of every task is the synthesized one.
+  BddManager mgr(index.manager().order());
+  ConObddScratch scratch;
+  std::unordered_map<std::string, Lineage> lineage_of;
+  for (size_t i = 0; i < partition.tasks.size(); ++i) {
+    const BlockTask& task = partition.tasks[i];
+    const TaskPlan& plan = plans.tasks[i];
+    ASSERT_TRUE(plan.status.ok()) << task.key << ": " << plan.status.ToString();
+    const StatusOr<NodeId> compiled =
+        plan.tmpl != nullptr
+            ? plan.tmpl->Execute(plans.slots(plan), &mgr, &scratch)
+            : ConObddBuilder(db, &mgr).Build(task.query);
+    ASSERT_TRUE(compiled.ok()) << task.key << ": "
+                               << compiled.status().ToString();
+    StatusOr<Lineage> lineage =
+        EvalBoolean(db, MaterializeTaskQuery(partition, task));
+    ASSERT_TRUE(lineage.ok()) << task.key;
+    EXPECT_EQ(*compiled, mgr.FromLineageSynthesis(*lineage))
+        << "task " << task.key << " lineage " << lineage->ToString();
+    lineage_of.emplace(task.key, std::move(*lineage));
+  }
+
+  // Leg 2: the built index's block probabilities against enumeration.
+  const std::vector<double> probs = db.VarProbs();
+  for (const MvBlock& b : index.blocks()) {
+    if (b.key.find('+') != std::string::npos) continue;  // merged block
+    const auto it = lineage_of.find(b.key);
+    ASSERT_NE(it, lineage_of.end()) << b.key;
+    if (it->second.NumDistinctVars() > kBruteForceMaxVars) continue;
+    const double want = 1.0 - BruteForceProb(it->second, probs);
+    EXPECT_LE(std::abs(b.prob.ToDouble() - want), 1e-9 * std::abs(want))
+        << "block " << b.key << ": " << b.prob.ToDouble() << " vs " << want;
+  }
+}
+
 struct BuildOutcome {
   uint64_t hash = 0;
   MvIndexBuildStats stats;
 };
 
-BuildOutcome CompileMvdb(Mvdb* mvdb, bool use_templates, int threads) {
+/// Compiles `mvdb` through the engine; with `oracle` set, also runs the
+/// synthesis oracle on the compiled index.
+BuildOutcome CompileMvdb(Mvdb* mvdb, int threads, bool oracle) {
   QueryEngine engine(mvdb);
   CompileOptions opts;
   opts.num_threads = threads;
-  opts.use_plan_templates = use_templates;
   const Status s = engine.Compile(opts);
   EXPECT_TRUE(s.ok()) << s.ToString();
   BuildOutcome out;
+  if (!s.ok()) return out;
   out.hash = HashIndex(engine.index());
   out.stats = engine.index().build_stats();
+  if (oracle) ExpectMatchesSynthesisOracle(mvdb->db(), mvdb->W(), engine.index());
   return out;
 }
 
-class TemplateParityTest : public ::testing::TestWithParam<int> {};
+class SynthesisOracleTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TemplateParityTest, TemplateAndClassicPathsAgreeOnRandomMvdbs) {
-  // Draw the identical random instance twice (Compile mutates the Mvdb, so
-  // the two paths need separate copies).
-  auto make = [&]() {
-    Rng rng(7300 + static_cast<uint64_t>(GetParam()));
-    RandomMvdbSpec spec;
-    spec.domain = 3 + static_cast<int>(rng.Below(4));
-    spec.with_binary_view = rng.Chance(0.7);
-    return RandomMvdb(&rng, spec);
-  };
-  auto with = make();
-  auto without = make();
-
-  const BuildOutcome a = CompileMvdb(with.get(), /*use_templates=*/true, 1);
-  const BuildOutcome b = CompileMvdb(without.get(), /*use_templates=*/false, 1);
-  EXPECT_EQ(a.hash, b.hash);
-  EXPECT_EQ(a.stats.blocks, b.stats.blocks);
-  EXPECT_EQ(a.stats.merged, b.stats.merged);
-  EXPECT_EQ(a.stats.flat_nodes, b.stats.flat_nodes);
-  // The escape hatch really does disable the template stage.
-  EXPECT_EQ(b.stats.plan_templates, 0u);
-  EXPECT_EQ(b.stats.template_blocks, 0u);
+TEST_P(SynthesisOracleTest, EveryBlockMatchesSynthesisOnRandomMvdbs) {
+  Rng rng(7300 + static_cast<uint64_t>(GetParam()));
+  RandomMvdbSpec spec;
+  spec.domain = 3 + static_cast<int>(rng.Below(4));
+  spec.with_binary_view = rng.Chance(0.7);
+  auto mvdb = RandomMvdb(&rng, spec);
+  CompileMvdb(mvdb.get(), 1, /*oracle=*/true);
 }
 
-INSTANTIATE_TEST_SUITE_P(RandomInstances, TemplateParityTest,
+INSTANTIATE_TEST_SUITE_P(RandomInstances, SynthesisOracleTest,
                          ::testing::Range(0, 12));
 
 std::unique_ptr<Mvdb> Dblp400() {
@@ -86,24 +133,21 @@ std::unique_ptr<Mvdb> Dblp400() {
   return std::move(mvdb).value();
 }
 
-TEST(TemplateGoldenTest, Dblp400BitIdenticalForEveryPathAndThreadCount) {
+TEST(TemplateGoldenTest, Dblp400MatchesOracleAndIsBitIdenticalPerThreadCount) {
   // Golden flat-index hash of the DBLP-400 build. If an intentional
   // pipeline change moves this value, re-pin it together with the
   // pipeline_golden_test hash.
   constexpr uint64_t kGolden = 6680169412690263446ULL;
-  const BuildOutcome ref = CompileMvdb(Dblp400().get(), true, 1);
+  const BuildOutcome ref = CompileMvdb(Dblp400().get(), 1, /*oracle=*/true);
   EXPECT_EQ(ref.hash, kGolden);
   EXPECT_GT(ref.stats.plan_templates, 0u);
   EXPECT_GT(ref.stats.template_blocks, 0u);
   // DBLP's ~hundreds of blocks per group collapse onto a handful of
   // distinct shapes.
   EXPECT_LT(ref.stats.plan_templates, 10u);
-
-  auto classic = Dblp400();
-  EXPECT_EQ(CompileMvdb(classic.get(), false, 1).hash, kGolden);
   for (int threads : {2, 8, 0}) {  // 0 = one per hardware thread
     auto mvdb = Dblp400();
-    EXPECT_EQ(CompileMvdb(mvdb.get(), true, threads).hash, kGolden)
+    EXPECT_EQ(CompileMvdb(mvdb.get(), threads, /*oracle=*/false).hash, kGolden)
         << "threads=" << threads;
   }
 }
@@ -114,7 +158,7 @@ TEST(TemplateGoldenTest, Dblp400BitIdenticalForEveryPathAndThreadCount) {
 
 /// W whose first group fails at *template-planning* time (the leaf join
 /// plan references the missing table Bad1) and whose second group fails at
-/// *execution* time (the separator residual recursion hits Bad2). Several
+/// *execution* time (Bad2 sits behind an in-block separator). Several
 /// hundred block tasks fail; the build must always report the first one in
 /// canonical task order — a g0 block, hence Bad1 — not whichever worker or
 /// failure stage surfaced first.
@@ -135,19 +179,18 @@ class ErrorPropagationTest : public ::testing::Test {
     // g0 (R/S, separator x): the two disjuncts kill the in-block
     // separator, so the template plans a leaf over both — and fails on
     // Bad1 while *planning*. g1 (T/U, separator z): after grounding z the
-    // U/Bad2 join component still has separator w, so the template defers
-    // that residual to the classic recursion, which fails on Bad2 only
-    // when a worker *executes* the block.
+    // U/Bad2 join component still has separator w, so the template keeps
+    // an R3 node there; Bad2 fails only when a worker *executes* the block
+    // and that node plans each w value's sub-query.
     w_ = MustParse(
         "W :- R(x), Bad1(x). W :- R(x), S(x,y). W :- T(z), U(z,w), Bad2(w).",
         &db_->dict());
   }
 
-  Status BuildWith(bool use_templates, int threads) {
+  Status BuildWith(int threads) {
     BddManager mgr(BuildDefaultOrder(*db_));
     MvIndexBuildOptions opts;
     opts.num_threads = threads;
-    opts.use_plan_templates = use_templates;
     return MvIndex::Build(*db_, w_, &mgr, db_->VarProbs(), opts).status();
   }
 
@@ -155,21 +198,16 @@ class ErrorPropagationTest : public ::testing::Test {
   Ucq w_;
 };
 
-TEST_F(ErrorPropagationTest, FirstFailingBlockInTaskOrderWinsOnEveryPath) {
-  for (const bool use_templates : {true, false}) {
-    for (const int threads : {1, 2, 8}) {
-      const Status s = BuildWith(use_templates, threads);
-      ASSERT_FALSE(s.ok()) << "templates=" << use_templates
-                           << " threads=" << threads;
-      // Always the g0 failure (Bad1), never g1's Bad2, and the message is
-      // identical across thread counts and compile paths.
-      EXPECT_NE(s.ToString().find("Bad1"), std::string::npos)
-          << "templates=" << use_templates << " threads=" << threads << ": "
-          << s.ToString();
-      EXPECT_EQ(s.ToString().find("Bad2"), std::string::npos)
-          << "templates=" << use_templates << " threads=" << threads << ": "
-          << s.ToString();
-    }
+TEST_F(ErrorPropagationTest, FirstFailingBlockInTaskOrderWins) {
+  for (const int threads : {1, 2, 8}) {
+    const Status s = BuildWith(threads);
+    ASSERT_FALSE(s.ok()) << "threads=" << threads;
+    // Always the g0 failure (Bad1), never g1's Bad2, and the message is
+    // identical across thread counts.
+    EXPECT_NE(s.ToString().find("Bad1"), std::string::npos)
+        << "threads=" << threads << ": " << s.ToString();
+    EXPECT_EQ(s.ToString().find("Bad2"), std::string::npos)
+        << "threads=" << threads << ": " << s.ToString();
   }
 }
 
@@ -180,51 +218,67 @@ TEST_F(ErrorPropagationTest, ExecutionTimeFailuresAloneAlsoErrorOut) {
   // a present=false skip).
   w_ = MustParse("W :- R(x), S(x,y). W :- T(z), U(z,w), Bad2(w).",
                  &db_->dict());
-  for (const bool use_templates : {true, false}) {
-    for (const int threads : {1, 8}) {
-      const Status s = BuildWith(use_templates, threads);
-      ASSERT_FALSE(s.ok());
-      EXPECT_NE(s.ToString().find("Bad2"), std::string::npos) << s.ToString();
-    }
+  for (const int threads : {1, 2, 8}) {
+    const Status s = BuildWith(threads);
+    ASSERT_FALSE(s.ok()) << "threads=" << threads;
+    EXPECT_NE(s.ToString().find("Bad2"), std::string::npos) << s.ToString();
   }
 }
 
-TEST(TemplateParityCornerTest, SeparatorValueCollidingWithQueryConstant) {
+TEST(SynthesisOracleCornerTest, SeparatorValueCollidingWithQueryConstant) {
   // The separator domain contains the value 3, which also appears as a
   // comparison constant in W: block x=3 has a different constant-equality
   // pattern (both constants collapse onto one slot), hence its own
-  // signature and template. The collision branch must still produce the
-  // classic path's output bit for bit.
-  auto make = []() {
-    auto db = std::make_unique<Database>();
-    MVDB_CHECK(db->CreateTable("P", {"x", "y"}, true).ok());
-    Rng rng(41);
-    for (int x = 1; x <= 6; ++x) {
-      for (int y = 1; y <= 6; ++y) {
-        if (rng.Chance(0.6)) {
-          db->InsertProbabilistic("P", {x, y}, 0.3 + rng.Uniform());
-        }
+  // signature and template. The collision branch must still compile every
+  // block to its synthesized OBDD.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("P", {"x", "y"}, true).ok());
+  Rng rng(41);
+  for (int x = 1; x <= 6; ++x) {
+    for (int y = 1; y <= 6; ++y) {
+      if (rng.Chance(0.6)) {
+        db.InsertProbabilistic("P", {x, y}, 0.3 + rng.Uniform());
       }
     }
-    return db;
-  };
-  auto build = [](Database* db, bool use_templates) {
-    Ucq w = MustParse("W :- P(x,y), y > 3.", &db->dict());
-    BddManager mgr(BuildDefaultOrder(*db));
-    MvIndexBuildOptions opts;
-    opts.use_plan_templates = use_templates;
-    auto index = MvIndex::Build(*db, w, &mgr, db->VarProbs(), opts);
-    MVDB_CHECK(index.ok()) << index.status().ToString();
-    return HashIndex(**index);
-  };
-  auto db_a = make();
-  auto db_b = make();
-  EXPECT_EQ(build(db_a.get(), true), build(db_b.get(), false));
+  }
+  const Ucq w = MustParse("W :- P(x,y), y > 3.", &db.dict());
+  BddManager mgr(BuildDefaultOrder(db));
+  auto index = MvIndex::Build(db, w, &mgr, db.VarProbs());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  // The shape's default template plus the collision's own.
+  EXPECT_EQ((*index)->build_stats().plan_templates, 2u);
+  ExpectMatchesSynthesisOracle(db, w, **index);
+}
+
+TEST(SynthesisOracleCornerTest, DeterministicComponentInsideBlocks) {
+  // Once the partition grounds x, block x=c is P(c,y), D(c): an R2 split
+  // into a probabilistic component and the deterministic check D(c), which
+  // keeps the block when D holds c and empties it otherwise. D holds every
+  // other separator value, so both outcomes occur.
+  Database db;
+  ASSERT_TRUE(db.CreateTable("P", {"x", "y"}, true).ok());
+  ASSERT_TRUE(db.CreateTable("D", {"x"}, false).ok());
+  Rng rng(43);
+  for (int x = 1; x <= 6; ++x) {
+    if (x % 2 == 0) db.InsertDeterministic("D", {x});
+    for (int y = 1; y <= 4; ++y) {
+      if (rng.Chance(0.6)) {
+        db.InsertProbabilistic("P", {x, y}, 0.3 + rng.Uniform());
+      }
+    }
+  }
+  const Ucq w = MustParse("W :- P(x,y), D(x).", &db.dict());
+  BddManager mgr(BuildDefaultOrder(db));
+  auto index = MvIndex::Build(db, w, &mgr, db.VarProbs());
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_GT((*index)->blocks().size(), 0u);
+  EXPECT_LT((*index)->blocks().size(), (*index)->build_stats().block_tasks);
+  ExpectMatchesSynthesisOracle(db, w, **index);
 }
 
 TEST(TemplateStatsTest, TemplateCountersPopulatedOnDblp) {
   auto mvdb = Dblp400();
-  const BuildOutcome r = CompileMvdb(mvdb.get(), true, 1);
+  const BuildOutcome r = CompileMvdb(mvdb.get(), 1, /*oracle=*/false);
   // Every decomposed block executes through a shared template on DBLP.
   EXPECT_GT(r.stats.template_blocks, r.stats.block_tasks / 2);
   EXPECT_LE(r.stats.template_blocks, r.stats.block_tasks);

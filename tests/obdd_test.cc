@@ -198,8 +198,9 @@ TEST(ConObddTest, Fig3Construction) {
 }
 
 TEST(ConObddTest, MatchesSynthesisOnRandomQueries) {
-  // Property: ConOBDD and plain synthesis compute the same function, for a
-  // variety of query shapes including non-inversion-free ones.
+  // Property: ConOBDD and plain synthesis build the same reduced OBDD — the
+  // same node in one hash-consed manager — for a variety of query shapes
+  // including non-inversion-free ones.
   const char* queries[] = {
       "Q :- R(x), S(x,y).",
       "Q :- S(x,y).",
@@ -209,6 +210,7 @@ TEST(ConObddTest, MatchesSynthesisOnRandomQueries) {
       "Q :- S(x,y1), S(x,y2), y1 != y2.",   // self-join
       "Q :- R(1), S(1,y).",                 // constants
       "Q :- R(x), S(x,11).",
+      "Q :- R(x), S(x,y), T(z).",           // R3 separators under an R2 split
   };
   Rng rng(12);
   for (const char* qs : queries) {
@@ -233,6 +235,7 @@ TEST(ConObddTest, MatchesSynthesisOnRandomQueries) {
     const Lineage lin = *EvalBoolean(db, q);
     const auto probs = db.VarProbs();
     EXPECT_NEAR(mgr.Prob(*f, probs), BruteForceProb(lin, probs), 1e-9) << qs;
+    EXPECT_EQ(*f, mgr.FromLineageSynthesis(lin)) << qs;
   }
 }
 
