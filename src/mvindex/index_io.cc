@@ -345,6 +345,28 @@ Status WriteIndexSections(const std::string& path, IndexFileHeader h,
   return Status::OK();
 }
 
+/// The on-disk block directory and key blob: one record per block, keys
+/// appended in block order (tiny next to the node arrays).
+void EncodeBlockDirectory(const std::vector<MvBlock>& blocks,
+                          const std::vector<std::string>& keys,
+                          std::vector<IndexBlockRecord>* block_dir,
+                          std::string* key_blob) {
+  block_dir->resize(blocks.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const MvBlock& blk = blocks[b];
+    IndexBlockRecord& rec = (*block_dir)[b];
+    rec.chain_root = blk.chain_root;
+    rec.first_level = blk.first_level;
+    rec.last_level = blk.last_level;
+    rec.reserved = 0;
+    rec.prob_mantissa_bits = blk.prob.mantissa_bits();
+    rec.prob_exponent = blk.prob.exponent_word();
+    rec.key_offset = key_blob->size();
+    rec.key_len = keys[b].size();
+    key_blob->append(keys[b]);
+  }
+}
+
 }  // namespace
 
 Status MvIndex::Save(const std::string& path) const {
@@ -353,23 +375,9 @@ Status MvIndex::Save(const std::string& path) const {
   const uint64_t num_levels = flat.num_levels();
   const uint64_t num_blocks = blocks_.size();
 
-  // Assemble the block directory + key blob in memory (tiny next to the
-  // node arrays: one cache line per block).
+  std::vector<IndexBlockRecord> block_dir;
   std::string key_blob;
-  std::vector<IndexBlockRecord> block_dir(blocks_.size());
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    const MvBlock& blk = blocks_[b];
-    IndexBlockRecord& rec = block_dir[b];
-    rec.chain_root = blk.chain_root;
-    rec.first_level = blk.first_level;
-    rec.last_level = blk.last_level;
-    rec.reserved = 0;
-    rec.prob_mantissa_bits = blk.prob.mantissa_bits();
-    rec.prob_exponent = blk.prob.exponent_word();
-    rec.key_offset = key_blob.size();
-    rec.key_len = blk.key.size();
-    key_blob.append(blk.key);
-  }
+  EncodeBlockDirectory(blocks_, block_keys_, &block_dir, &key_blob);
 
   const std::vector<VarId>& order = mgr_->order()->vars();
   MVDB_CHECK_EQ(order.size(), num_levels);
@@ -395,8 +403,8 @@ Status MvIndex::Save(const std::string& path) const {
 
   // The file now holds exactly this index's weight state: subsequent
   // PatchFile calls may write dirty-block slices instead of whole sections.
-  pending_patch_blocks_.clear();
-  pending_patch_levels_.clear();
+  pending_patch_blocks_.Clear();
+  pending_patch_levels_.Clear();
   weights_synced_ = true;
   return Status::OK();
 }
@@ -480,21 +488,9 @@ Status MvIndex::PatchFile(const std::string& path,
   // Reassemble the weight-carrying payloads. Keys are unchanged, so the
   // block records keep their original key spans (recomputed in the same
   // deterministic append order Save uses).
+  std::vector<IndexBlockRecord> block_dir;
   std::string key_blob;
-  std::vector<IndexBlockRecord> block_dir(blocks_.size());
-  for (size_t b = 0; b < blocks_.size(); ++b) {
-    const MvBlock& blk = blocks_[b];
-    IndexBlockRecord& rec = block_dir[b];
-    rec.chain_root = blk.chain_root;
-    rec.first_level = blk.first_level;
-    rec.last_level = blk.last_level;
-    rec.reserved = 0;
-    rec.prob_mantissa_bits = blk.prob.mantissa_bits();
-    rec.prob_exponent = blk.prob.exponent_word();
-    rec.key_offset = key_blob.size();
-    rec.key_len = blk.key.size();
-    key_blob.append(blk.key);
-  }
+  EncodeBlockDirectory(blocks_, block_keys_, &block_dir, &key_blob);
   struct PatchSection {
     IndexSection sec;
     const void* data;
@@ -545,26 +541,22 @@ Status MvIndex::PatchFile(const std::string& path,
   // table checksums above are always over the full in-memory arrays, so a
   // loader's verify pass still proves the whole file consistent.
   if (weights_synced_) {
-    std::vector<int32_t> lvls = pending_patch_levels_;
+    // The pending sets hold distinct ids; ascending order writes the file
+    // front to back.
+    std::vector<size_t> lvls = pending_patch_levels_.ids;
     std::sort(lvls.begin(), lvls.end());
-    lvls.erase(std::unique(lvls.begin(), lvls.end()), lvls.end());
     const double* level_probs = flat.level_probs_data();
-    for (const int32_t l : lvls) {
+    for (const size_t l : lvls) {
       MVDB_RETURN_NOT_OK(PwriteAll(
           fd, level_probs + l, sizeof(double),
-          table[kSecLevelProbs].offset +
-              static_cast<uint64_t>(l) * sizeof(double)));
+          table[kSecLevelProbs].offset + l * sizeof(double)));
     }
-    std::vector<size_t> blks = pending_patch_blocks_;
+    std::vector<size_t> blks = pending_patch_blocks_.ids;
     std::sort(blks.begin(), blks.end());
-    blks.erase(std::unique(blks.begin(), blks.end()), blks.end());
     const ScaledDouble* prob_under = flat.prob_under_data();
     for (const size_t b : blks) {
-      const FlatId begin = blocks_[b].chain_root;
+      const auto [begin, end] = BlockSlice(b);
       if (begin < 0) continue;  // sink-rooted block: no annotation slice
-      const FlatId end = b + 1 < blocks_.size()
-                             ? blocks_[b + 1].chain_root
-                             : static_cast<FlatId>(flat.size());
       MVDB_RETURN_NOT_OK(PwriteAll(
           fd, prob_under + begin,
           static_cast<uint64_t>(end - begin) * sizeof(ScaledDouble),
@@ -603,8 +595,8 @@ Status MvIndex::PatchFile(const std::string& path,
   // the pending sets only now (not at the crash hooks above) means a
   // simulated mid-patch crash leaves them armed, so a re-patch rewrites the
   // same slices and recovers the file.
-  pending_patch_blocks_.clear();
-  pending_patch_levels_.clear();
+  pending_patch_blocks_.Clear();
+  pending_patch_levels_.Clear();
   weights_synced_ = true;
   return Status::OK();
 }
@@ -640,10 +632,10 @@ Status CheckManagerOrder(const IndexFileReader& r, const BddManager& mgr) {
 namespace internal {
 
 /// Loader backdoor (friend of MvIndex): assembles a loaded index field by
-/// field. The shared tail of both loaders — rebuilds the block vector from
-/// the directory and recomputes the FastForward prefix products in the
-/// exact left-to-right multiply order the build used, so skip prefixes
-/// stay bit-identical.
+/// field. The shared tail of both loaders — rebuilds the block directory
+/// and keys from the file and recomputes the block-product arrays with the
+/// build's fold, so skip prefixes and suffix credits stay bit-identical
+/// across a save/load round trip.
 struct IndexIoAccess {
   static std::unique_ptr<MvIndex> Assemble(const IndexFileReader& r,
                                            BddManager* mgr,
@@ -658,32 +650,21 @@ std::unique_ptr<MvIndex> IndexIoAccess::Assemble(const IndexFileReader& r,
   index->mgr_ = mgr;
   index->flat_ = std::move(flat);
   index->blocks_.resize(h.num_blocks);
+  index->block_keys_.resize(h.num_blocks);
   const IndexBlockRecord* dir = r.block_dir();
   const char* blob = r.key_blob();
   for (uint64_t b = 0; b < h.num_blocks; ++b) {
     const IndexBlockRecord& rec = dir[b];
-    MvBlock& blk = index->blocks_[b];
-    blk.key.assign(blob + rec.key_offset, rec.key_len);
-    blk.chain_root = rec.chain_root;
-    blk.first_level = rec.first_level;
-    blk.last_level = rec.last_level;
-    blk.prob = ScaledDouble::FromRaw(rec.prob_mantissa_bits, rec.prob_exponent);
+    index->block_keys_[b].assign(blob + rec.key_offset, rec.key_len);
+    index->blocks_[b] = MvBlock{
+        rec.chain_root, rec.first_level, rec.last_level,
+        ScaledDouble::FromRaw(rec.prob_mantissa_bits, rec.prob_exponent)};
   }
-  index->block_prefix_.resize(index->blocks_.size() + 1);
-  index->block_prefix_[0] = ScaledDouble::One();
-  for (size_t i = 0; i < index->blocks_.size(); ++i) {
-    ScaledDouble p = index->block_prefix_[i];
-    p *= index->blocks_[i].prob;
-    index->block_prefix_[i + 1] = p;
-  }
-  // Suffix products, right-to-left — the same multiply order AssembleChain
-  // pins at build time, so the sweep consumers' credits stay bit-identical
-  // across a save/load round trip.
-  index->block_suffix_.assign(index->blocks_.size() + 1, ScaledDouble::One());
-  for (size_t i = index->blocks_.size(); i-- > 0;) {
-    index->block_suffix_[i] =
-        index->blocks_[i].prob * index->block_suffix_[i + 1];
-  }
+  const size_t n = index->blocks_.size();
+  index->block_prefix_.assign(n + 1, ScaledDouble::One());
+  index->block_suffix_.assign(n + 1, ScaledDouble::One());
+  FoldBlockProducts(index->blocks_, 0, n, index->block_prefix_,
+                    index->block_suffix_);
   // A freshly loaded index matches its file byte for byte: PatchFile may
   // write dirty-block slices from here on.
   index->weights_synced_ = true;

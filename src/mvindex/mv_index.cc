@@ -128,18 +128,19 @@ Status MergeInto(const std::shared_ptr<const VarOrder>& order,
 
 /// Shared tail of Build and ApplyStructuralDelta: sort the present compiled
 /// pieces by level, merge interleaving ranges, stitch the chain, and rebuild
-/// the block directory plus the FastForward prefix products. Outputs are the
-/// caller's index fields; `merged_count` (optional) accumulates the number
-/// of blocks absorbed by range merging. The operation sequence is exactly
-/// the one Build has always run, so an index assembled from extracted +
-/// recompiled pieces is bit-identical to a from-scratch build producing the
-/// same piece set.
+/// the block directory (records and keys) plus the block-product arrays.
+/// Outputs are the caller's index fields; `merged_count` (optional)
+/// accumulates the number of blocks absorbed by range merging. The
+/// operation sequence is exactly the one Build has always run, so an index
+/// assembled from extracted + recompiled pieces is bit-identical to a
+/// from-scratch build producing the same piece set.
 Status AssembleChain(const std::shared_ptr<const VarOrder>& order,
                      const std::vector<double>& var_probs,
                      std::vector<double> level_probs,
                      std::vector<CompiledBlock> raw,
                      std::unique_ptr<FlatObdd>* flat,
                      std::vector<MvBlock>* blocks,
+                     std::vector<std::string>* block_keys,
                      std::vector<ScaledDouble>* block_prefix,
                      std::vector<ScaledDouble>* block_suffix,
                      size_t* merged_count) {
@@ -162,31 +163,118 @@ Status AssembleChain(const std::shared_ptr<const VarOrder>& order,
   std::vector<FlatId> chain_roots;
   *flat = FlatObdd::StitchChain(pieces, std::move(level_probs), &chain_roots);
   blocks->clear();
+  block_keys->clear();
   for (size_t i = 0; i < merged.size(); ++i) {
-    blocks->push_back(MvBlock{std::move(merged[i].key), chain_roots[i],
-                              merged[i].first_level, merged[i].last_level,
-                              merged[i].prob});
+    blocks->push_back(MvBlock{chain_roots[i], merged[i].first_level,
+                              merged[i].last_level, merged[i].prob});
+    block_keys->push_back(std::move(merged[i].key));
   }
-  // Prefix products of the per-block P(NOT W_b) factors, accumulated
-  // left-to-right exactly like the old per-call linear scan so the
-  // binary-searched FastForward stays bit-identical.
+  // Prefix products left-to-right (FastForward's skip products) and suffix
+  // products right-to-left as block * suffix (the pinned order every sweep
+  // consumer multiplies a block-local probUnder by). The suffixes are never
+  // derived from the prefixes by division: that is not bit-stable.
   block_prefix->assign(blocks->size() + 1, ScaledDouble::One());
-  for (size_t i = 0; i < blocks->size(); ++i) {
-    ScaledDouble p = (*block_prefix)[i];
-    p *= (*blocks)[i].prob;
-    (*block_prefix)[i + 1] = p;
-  }
-  // Suffix products, accumulated right-to-left as block * suffix — the
-  // pinned order every sweep consumer multiplies a block-local probUnder
-  // by. Never derived from the prefixes by division (not bit-stable).
   block_suffix->assign(blocks->size() + 1, ScaledDouble::One());
-  for (size_t i = blocks->size(); i-- > 0;) {
-    (*block_suffix)[i] = (*blocks)[i].prob * (*block_suffix)[i + 1];
-  }
+  FoldBlockProducts(*blocks, 0, blocks->size(), *block_prefix, *block_suffix);
   return Status::OK();
 }
 
+/// Renormalization period of the fold's running mantissas. Each canonical
+/// factor has |mantissa| in [0.5, 1), so 256 raw products from [0.5, 1)
+/// stay above 2^-257 in magnitude — far above the subnormal range below
+/// 2^-1022, where a product's rounding would change.
+constexpr size_t kFoldRenormSteps = 256;
+
+/// IEEE-754 exponent field, and its value for |m| in [0.5, 1).
+constexpr uint64_t kExpField = uint64_t{0x7ff} << 52;
+constexpr uint64_t kCanonicalExp = uint64_t{1022} << 52;
+
+/// One running block product m * 2^e of FoldBlockProducts, its raw
+/// mantissa renormalized only by Renormalize(). `off` collects the exponent
+/// fields of every mantissa multiplied in (seed included) that is not
+/// canonical — zero, subnormal, non-finite or outside [0.5, 1) — for which
+/// the raw chain is not exact.
+struct RawProduct {
+  explicit RawProduct(const ScaledDouble& seed)
+      : m(std::bit_cast<double>(seed.mantissa_bits())),
+        e(seed.exponent_word()),
+        off((seed.mantissa_bits() & kExpField) ^ kCanonicalExp) {}
+
+  /// Multiplies in one factor and returns the normalized product. Only the
+  /// multiply and the exponent add are on the chain; the split that forms
+  /// the stored entry feeds nothing downstream. While `off` is clear, m is
+  /// a normal double, so the split is FrexpFast's exponent-field
+  /// arithmetic alone; once it is set, the period's entries are rewritten.
+  ScaledDouble Times(const ScaledDouble& f) {
+    const uint64_t bits = f.mantissa_bits();
+    off |= (bits & kExpField) ^ kCanonicalExp;
+    m *= std::bit_cast<double>(bits);
+    e += f.exponent_word();
+    int64_t k;
+    const double mant = ScaledDouble::FrexpNormal(m, &k);
+    return ScaledDouble::FromRaw(std::bit_cast<uint64_t>(mant), e + k);
+  }
+
+  void Renormalize() {
+    int64_t k;
+    m = ScaledDouble::FrexpNormal(m, &k);
+    e += k;
+  }
+
+  double m;
+  int64_t e;
+  uint64_t off;
+};
+
 }  // namespace
+
+void FoldBlockProducts(std::span<const MvBlock> blocks, size_t prefix_from,
+                       size_t suffix_to, std::span<ScaledDouble> prefix,
+                       std::span<ScaledDouble> suffix) {
+  const size_t n = blocks.size();
+  size_t p = prefix_from;  // next prefix entry written: prefix[p + 1]
+  size_t s = suffix_to;    // next suffix entry written: suffix[s - 1]
+  RawProduct pre(prefix[p]);
+  RawProduct suf(suffix[s]);
+  while (p < n || s > 0) {
+    // One renormalization period of both chains, interleaved while both
+    // run so the two multiply chains overlap.
+    const size_t np = std::min(n - p, kFoldRenormSteps);
+    const size_t ns = std::min(s, kFoldRenormSteps);
+    const size_t both = std::min(np, ns);
+    for (size_t j = 0; j < both; ++j) {
+      prefix[p + j + 1] = pre.Times(blocks[p + j].prob);
+      suffix[s - j - 1] = suf.Times(blocks[s - j - 1].prob);
+    }
+    for (size_t j = both; j < np; ++j) {
+      prefix[p + j + 1] = pre.Times(blocks[p + j].prob);
+    }
+    for (size_t j = both; j < ns; ++j) {
+      suffix[s - j - 1] = suf.Times(blocks[s - j - 1].prob);
+    }
+    // A period that met a non-canonical mantissa is rewritten, with the
+    // rest of its chain, by the per-step loop from the period's seed —
+    // an entry stored before the period, hence already exact.
+    if (np > 0 && pre.off != 0) {
+      ScaledDouble acc = prefix[p];
+      for (size_t i = p; i < n; ++i) {
+        acc *= blocks[i].prob;
+        prefix[i + 1] = acc;
+      }
+      p = n;
+    } else if (np > 0) {
+      pre.Renormalize();
+      p += np;
+    }
+    if (ns > 0 && suf.off != 0) {
+      for (size_t i = s; i-- > 0;) suffix[i] = blocks[i].prob * suffix[i + 1];
+      s = 0;
+    } else if (ns > 0) {
+      suf.Renormalize();
+      s -= ns;
+    }
+  }
+}
 
 StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
     const Database& db, const Ucq& w, BddManager* mgr,
@@ -297,7 +385,7 @@ StatusOr<std::unique_ptr<MvIndex>> MvIndex::Build(
   MVDB_RETURN_NOT_OK(AssembleChain(mgr->order(), var_probs,
                                    std::move(level_probs), std::move(raw),
                                    &index->flat_, &index->blocks_,
-                                   &index->block_prefix_,
+                                   &index->block_keys_, &index->block_prefix_,
                                    &index->block_suffix_, &stats.merged));
   // Release the large per-task containers here so their teardown (200K
   // keys, blocks and plans at DBLP scale) is attributed to the stitch
@@ -362,15 +450,21 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
   // matters even when no chain node branches on it — the online ProbQ walk
   // reads prob_at_level for query-side nodes at any level.
   std::vector<size_t> dirty_blocks;
+  const int32_t* levels = flat_->levels_data();
   for (const VarId v : changed_vars) {
     const int32_t l = mgr_->level_of_var(v);
     flat_->SetLevelProb(l, var_probs[static_cast<size_t>(v)]);
-    pending_patch_levels_.push_back(l);
-    const auto [begin, end] = flat_->NodesAtLevel(l);
-    if (begin == end) continue;  // no chain node branches on this level
-    // The level belongs to exactly one block (blocks occupy disjoint level
-    // ranges): the block that owns its first flat node.
-    if (!blocks_.empty()) dirty_blocks.push_back(BlockOf(begin));
+    if (weights_synced_) pending_patch_levels_.Add(static_cast<size_t>(l));
+    // Blocks tile the level-sorted chain in disjoint, ascending level
+    // ranges, so the only block that can hold a node on level l is the
+    // first one whose range ends at or after it (FastForward's search);
+    // the level dirties it iff some node of its slice branches on l.
+    const size_t b = FirstBlockEndingAtOrAfter(l);
+    if (b == blocks_.size() || blocks_[b].first_level > l) continue;
+    const auto [begin, end] = BlockSlice(b);
+    if (begin >= 0 && std::binary_search(levels + begin, levels + end, l)) {
+      dirty_blocks.push_back(b);
+    }
   }
   if (var_probs_.empty()) {
     var_probs_ = var_probs;  // first snapshot over a loaded index
@@ -381,16 +475,23 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
       var_probs_[static_cast<size_t>(v)] = var_probs[static_cast<size_t>(v)];
     }
   }
-  if (dirty_blocks.empty()) return Status::OK();  // table-only change
+  if (dirty_blocks.empty()) {  // table-only change
+    repair_stats_.pending_patch_levels = pending_patch_levels_.ids.size();
+    repair_stats_.pending_patch_blocks = pending_patch_blocks_.ids.size();
+    return Status::OK();
+  }
 
   std::sort(dirty_blocks.begin(), dirty_blocks.end());
   dirty_blocks.erase(std::unique(dirty_blocks.begin(), dirty_blocks.end()),
                      dirty_blocks.end());
-  pending_patch_blocks_.insert(pending_patch_blocks_.end(),
-                               dirty_blocks.begin(), dirty_blocks.end());
+  if (weights_synced_) {
+    for (const size_t b : dirty_blocks) pending_patch_blocks_.Add(b);
+  }
   repair_stats_ = MvIndexRepairStats{};
   repair_stats_.valid = true;
   repair_stats_.dirty_blocks = dirty_blocks.size();
+  repair_stats_.pending_patch_levels = pending_patch_levels_.ids.size();
+  repair_stats_.pending_patch_blocks = pending_patch_blocks_.ids.size();
 
   // Step 2: replay the block-local probUnder recurrence over exactly the
   // dirty blocks' slices — exact replay, not local scaling, so each slice
@@ -400,10 +501,7 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
   // changed levels.
   Timer repair_timer;
   for (const size_t i : dirty_blocks) {
-    const FlatId begin = blocks_[i].chain_root;
-    const FlatId end = i + 1 < blocks_.size()
-                           ? blocks_[i + 1].chain_root
-                           : static_cast<FlatId>(flat_->size());
+    const auto [begin, end] = BlockSlice(i);
     flat_->RepairAnnotations(begin, end);
     repair_stats_.replayed_nodes += static_cast<size_t>(end - begin);
   }
@@ -425,15 +523,8 @@ Status MvIndex::ApplyWeightDelta(const std::vector<VarId>& changed_vars,
   // neighbor replays the exact tail (resp. head) of a full rebuild, so
   // both arrays stay bit-identical to from-scratch.
   repair_timer.Restart();
-  const size_t first_dirty = dirty_blocks.front();
-  ScaledDouble p = block_prefix_[first_dirty];
-  for (size_t i = first_dirty; i < blocks_.size(); ++i) {
-    p *= blocks_[i].prob;
-    block_prefix_[i + 1] = p;
-  }
-  for (size_t i = dirty_blocks.back() + 1; i-- > 0;) {
-    block_suffix_[i] = blocks_[i].prob * block_suffix_[i + 1];
-  }
+  FoldBlockProducts(blocks_, dirty_blocks.front(), dirty_blocks.back() + 1,
+                    block_prefix_, block_suffix_);
   repair_stats_.products_seconds = repair_timer.Seconds();
   return Status::OK();
 }
@@ -442,10 +533,10 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
                                      BddManager* new_mgr,
                                      const std::vector<double>& var_probs,
                                      const std::vector<std::string>& dirty_keys) {
-  for (const MvBlock& b : blocks_) {
-    if (b.key.find('+') != std::string::npos) {
+  for (const std::string& key : block_keys_) {
+    if (key.find('+') != std::string::npos) {
       return Status::Unimplemented(
-          "structural delta over a merged block (" + b.key +
+          "structural delta over a merged block (" + key +
           "): non-inversion-free residues need a full rebuild");
     }
   }
@@ -494,8 +585,8 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   }
   std::unordered_map<std::string, size_t> old_block_by_key;
   old_block_by_key.reserve(blocks_.size());
-  for (size_t i = 0; i < blocks_.size(); ++i) {
-    old_block_by_key.emplace(blocks_[i].key, i);
+  for (size_t i = 0; i < block_keys_.size(); ++i) {
+    old_block_by_key.emplace(block_keys_[i], i);
   }
 
   // Plan the dirty tasks exactly as Build plans every task, compile them in
@@ -525,10 +616,7 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
     const auto old_it = old_block_by_key.find(out.key);
     if (old_it == old_block_by_key.end()) continue;
     const size_t b = old_it->second;
-    const FlatId begin = blocks_[b].chain_root;
-    const FlatId end = b + 1 < blocks_.size()
-                           ? blocks_[b + 1].chain_root
-                           : static_cast<FlatId>(flat_->size());
+    const auto [begin, end] = BlockSlice(b);
     out.flat = flat_->ExtractBlock(begin, end, blocks_[b].chain_root,
                                    level_map);
     out.present = true;
@@ -549,14 +637,16 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   }
   std::unique_ptr<FlatObdd> flat;
   std::vector<MvBlock> blocks;
+  std::vector<std::string> block_keys;
   std::vector<ScaledDouble> block_prefix;
   std::vector<ScaledDouble> block_suffix;
   MVDB_RETURN_NOT_OK(AssembleChain(new_mgr->order(), var_probs,
                                    std::move(level_probs), std::move(raw),
-                                   &flat, &blocks, &block_prefix,
+                                   &flat, &blocks, &block_keys, &block_prefix,
                                    &block_suffix, nullptr));
   flat_ = std::move(flat);
   blocks_ = std::move(blocks);
+  block_keys_ = std::move(block_keys);
   block_prefix_ = std::move(block_prefix);
   block_suffix_ = std::move(block_suffix);
   mgr_ = new_mgr;
@@ -564,8 +654,8 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   // A structural change invalidates any file image: PatchFile's topology
   // precondition rejects it, and the dirty-tracking no longer describes
   // what diverged — drop it and require a fresh Save.
-  pending_patch_blocks_.clear();
-  pending_patch_levels_.clear();
+  pending_patch_blocks_.Clear();
+  pending_patch_levels_.Clear();
   weights_synced_ = false;
   build_stats_.blocks = blocks_.size();
   build_stats_.flat_nodes = flat_->size();
@@ -582,6 +672,20 @@ Status MvIndex::ApplyStructuralDelta(const Database& db, const Ucq& w,
   return Status::OK();
 }
 
+size_t MvIndex::FirstBlockEndingAtOrAfter(int32_t level) const {
+  size_t lo = 0;
+  size_t hi = blocks_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (blocks_[mid].last_level >= level) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
 void MvIndex::FastForward(int32_t q_first_level, ScaledDouble* prefix,
                           FlatId* start) const {
   if (blocks_.empty()) {
@@ -593,16 +697,7 @@ void MvIndex::FastForward(int32_t q_first_level, ScaledDouble* prefix,
   // blocks_: binary-search the first block the query can touch instead of
   // rescanning (and re-multiplying) the whole prefix on every call. The
   // skipped blocks' probability product is precomputed in block_prefix_.
-  size_t lo = 0;
-  size_t hi = blocks_.size();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (blocks_[mid].last_level >= q_first_level) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
+  const size_t lo = FirstBlockEndingAtOrAfter(q_first_level);
   *prefix = block_prefix_[lo];
   *start = lo < blocks_.size() ? blocks_[lo].chain_root : kFlatTrue;
 }

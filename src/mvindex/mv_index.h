@@ -27,6 +27,7 @@
 #include <memory>
 #include <memory_resource>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -104,14 +105,40 @@ class CcSweepScratch {
   size_t words_read = 0;
 };
 
-/// One variable-disjoint block of the compiled NOT W chain.
+/// One variable-disjoint block of the compiled NOT W chain. The record is
+/// what the hot directory walks read — FastForward's and BlockOf's binary
+/// searches and the block-product fold — so it holds no diagnostics: the
+/// "group/separatorValue" key lives beside the directory
+/// (MvIndex::block_key), and two records share a cache line.
 struct MvBlock {
-  std::string key;        ///< "group/separatorValue" diagnostics key
   FlatId chain_root;      ///< entry point of the chain at this block
   int32_t first_level;    ///< smallest variable level in the block
   int32_t last_level;     ///< largest variable level in the block
   ScaledDouble prob;      ///< standalone P(NOT W_b), extended range
 };
+static_assert(sizeof(MvBlock) == 32);
+
+/// Rebuilds block-product arrays from the directory's factors:
+///
+///   prefix[i + 1] = prefix[i] * blocks[i].prob   for i in [prefix_from, n)
+///   suffix[i] = blocks[i].prob * suffix[i + 1]    for i in [0, suffix_to)
+///
+/// with n = blocks.size(), prefix[prefix_from] and suffix[suffix_to] as the
+/// seeds, and both arrays holding n + 1 entries. Every stored entry is
+/// bit-identical (mantissa bits and exponent word) to what those per-step
+/// ScaledDouble loops store; only the schedule differs. Both chains run in
+/// one loop, each multiplying raw mantissas and adding exponent words and
+/// renormalizing every 256 steps, while the stored entries are split off
+/// the chain. Exact because every canonical factor mantissa lies in
+/// [0.5, 1) in magnitude: 256 steps stay far above the subnormal range, and
+/// scaling a normal double by 2^k leaves its rounding unchanged, so the
+/// running mantissa is the per-step normalized one times a power of two. A
+/// chain whose seed or factor is zero, non-finite or otherwise not
+/// canonical is finished by the per-step loop (which resets a zero's
+/// exponent and leaves a non-finite one's alone).
+void FoldBlockProducts(std::span<const MvBlock> blocks, size_t prefix_from,
+                       size_t suffix_to, std::span<ScaledDouble> prefix,
+                       std::span<ScaledDouble> suffix);
 
 /// Offline compilation knobs. The default is the serial path: no threads
 /// are spawned and the build output is bit-identical to any thread count
@@ -194,6 +221,13 @@ struct MvIndexRepairStats {
   double products_seconds = 0.0;
   size_t dirty_blocks = 0;    ///< blocks whose annotations replayed
   size_t replayed_nodes = 0;  ///< total nodes across the replayed slices
+  /// What the next PatchFile writes as slices, as of the end of this
+  /// repair: the distinct levels and blocks weight deltas changed since the
+  /// last completed Save/PatchFile. Both stay 0 while the file's weight
+  /// state is unknown (never saved, or after a structural delta) — there
+  /// PatchFile rewrites the weight sections whole, so nothing is tracked.
+  size_t pending_patch_levels = 0;
+  size_t pending_patch_blocks = 0;
   bool valid = false;         ///< false until the first weight repair
 };
 
@@ -358,6 +392,9 @@ class MvIndex {
 
   const FlatObdd& flat() const { return *flat_; }
   const std::vector<MvBlock>& blocks() const { return blocks_; }
+  /// Diagnostics key of block i ("group/separatorValue"; merged blocks join
+  /// their keys with '+').
+  const std::string& block_key(size_t i) const { return block_keys_[i]; }
   const BddManager& manager() const { return *mgr_; }
   const MvIndexBuildStats& build_stats() const { return build_stats_; }
   /// Phase split of the last ApplyWeightDelta repair (valid == false until
@@ -408,6 +445,19 @@ class MvIndex {
   /// variable, returning their probability product and the chain entry.
   void FastForward(int32_t q_first_level, ScaledDouble* prefix, FlatId* start) const;
 
+  /// Index of the first block whose level range ends at or after `level`
+  /// (blocks_.size() if none): the only block that can hold a node on that
+  /// level or any later one.
+  size_t FirstBlockEndingAtOrAfter(int32_t level) const;
+
+  /// Flat slice [chain_root, next block's chain_root) of block i; the last
+  /// block's slice ends at the chain's end.
+  std::pair<FlatId, FlatId> BlockSlice(size_t i) const {
+    return {blocks_[i].chain_root,
+            i + 1 < blocks_.size() ? blocks_[i + 1].chain_root
+                                   : static_cast<FlatId>(flat_->size())};
+  }
+
   /// Index of the block that owns flat node `u`: the last block whose chain
   /// entry is at or before u (blocks tile [0, N) contiguously in flat
   /// order). from = 0 binary-searches the whole directory; a cursor at
@@ -431,6 +481,7 @@ class MvIndex {
   BddManager* mgr_ = nullptr;
   std::unique_ptr<FlatObdd> flat_;
   std::vector<MvBlock> blocks_;
+  std::vector<std::string> block_keys_;  ///< parallel to blocks_
   std::vector<double> var_probs_;
   NodeId not_w_root_ = BddManager::kTrue;
   MvIndexBuildStats build_stats_;
@@ -456,16 +507,38 @@ class MvIndex {
   /// Phase split of the last ApplyWeightDelta (see last_repair_stats()).
   MvIndexRepairStats repair_stats_;
 
-  /// Dirty-since-last-durable-write tracking for PatchFile: block ids and
-  /// levels ApplyWeightDelta touched since the last completed Save or
+  /// A set of small ids kept distinct: a membership bitmap plus the ids in
+  /// insertion order. Add is O(1), and Clear touches only the set's own
+  /// words, so the set never holds more than one entry per id.
+  struct IdSet {
+    std::vector<uint64_t> member;
+    std::vector<size_t> ids;
+    void Add(size_t id) {
+      if (member.size() <= id >> 6) member.resize((id >> 6) + 1, 0);
+      uint64_t& word = member[id >> 6];
+      const uint64_t bit = uint64_t{1} << (id & 63);
+      if ((word & bit) != 0) return;
+      word |= bit;
+      ids.push_back(id);
+    }
+    void Clear() {
+      for (const size_t id : ids) member[id >> 6] = 0;
+      ids.clear();
+    }
+  };
+
+  /// Dirty-since-last-durable-write tracking for PatchFile: the levels and
+  /// blocks ApplyWeightDelta changed since the last completed Save or
   /// PatchFile of this index. `weights_synced_` turns true once a durable
   /// write establishes that a file's weight bytes match memory; until then
-  /// PatchFile conservatively rewrites the full weight-carrying sections.
-  /// Mutable: Save/PatchFile are const (they do not change the in-memory
-  /// index) but must clear the tracking they consumed; both are
-  /// offline-side calls (the engine pauses serving around maintenance).
-  mutable std::vector<size_t> pending_patch_blocks_;
-  mutable std::vector<int32_t> pending_patch_levels_;
+  /// PatchFile conservatively rewrites the full weight-carrying sections,
+  /// so nothing is tracked (an index that is never saved would otherwise
+  /// grow the sets forever). Mutable: Save/PatchFile are const (they do not
+  /// change the in-memory index) but must clear the tracking they
+  /// consumed; both are offline-side calls (the engine pauses serving
+  /// around maintenance).
+  mutable IdSet pending_patch_blocks_;
+  mutable IdSet pending_patch_levels_;
   mutable bool weights_synced_ = false;
 };
 

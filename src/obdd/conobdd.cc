@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <unordered_map>
 
 #include "query/eval.h"
 #include "util/logging.h"
@@ -158,8 +160,8 @@ struct ConObddTemplateNode {
     kOrFold,   ///< R1 independent unions
     kAndFold,  ///< R2 independent join components
     kGeneric,  ///< R3 separator decomposition: the active domain is
-               ///< value-dependent, so each value's sub-query is planned
-               ///< and executed per binding
+               ///< value-dependent, so it is expanded per binding; each
+               ///< distinct sub-query shape is planned once per expansion
   };
 
   /// R2 child: either a probabilistic sub-node or a deterministic-only
@@ -367,19 +369,29 @@ StatusOr<ConResult> ConObddTemplate::ExecNode(const ConObddTemplateNode& node,
       }
       std::vector<ConResult> blocks;
       blocks.reserve(domain.size());
-      std::vector<Value> sub_slots;
+      // Every value that does not collide with a query constant gives the
+      // same signature, so each shape is planned once (as PlanBlockTasks
+      // plans the block shapes) and every value executes it with its own
+      // slots — bit-identical to planning the value's sub-query afresh.
+      std::unordered_map<std::string, std::unique_ptr<const ConObddTemplate>>
+          shapes;
       for (Value a : domain) {
         Ucq sub = grounded;
         for (size_t d = 0; d < sub.disjuncts.size(); ++d) {
           const int z = node.sep.var_of_disjunct[d];
           if (z >= 0) SubstituteInDisjunct(&sub, d, z, a);
         }
-        MVDB_ASSIGN_OR_RETURN(
-            std::unique_ptr<const ConObddTemplate> sub_tmpl,
-            Plan(helper->db_, helper->is_prob_, sub, &sub_slots));
+        UcqSignature sig = ComputeUcqSignature(sub);
+        auto it = shapes.find(sig.key);
+        if (it == shapes.end()) {
+          MVDB_ASSIGN_OR_RETURN(std::unique_ptr<const ConObddTemplate> planned,
+                                Plan(helper->db_, helper->is_prob_, sub));
+          it = shapes.emplace(std::move(sig.key), std::move(planned)).first;
+        }
+        const ConObddTemplate& sub_tmpl = *it->second;
         MVDB_ASSIGN_OR_RETURN(
             ConResult r,
-            sub_tmpl->ExecNode(*sub_tmpl->root_, sub_slots, scratch, helper));
+            sub_tmpl.ExecNode(*sub_tmpl.root_, sig.slots, scratch, helper));
         if (r.id == BddManager::kTrue) return r;
         if (r.id != BddManager::kFalse) blocks.push_back(r);
       }

@@ -105,8 +105,8 @@ struct ConObddTemplateNode;
 /// PlanTemplate join plans. Execute() replays the tree with a concrete slot
 /// binding: only the value-dependent outcomes (deterministic-disjunct
 /// truth, join results, level ranges, the R3 active domain) are computed
-/// per binding; an R3 node plans and executes each domain value's
-/// sub-query. The result is the reduced OBDD of the grounded query, so
+/// per binding; an R3 node plans each distinct shape among its domain
+/// values' sub-queries once and executes every value. The result is the reduced OBDD of the grounded query, so
 /// every binding of a shape yields the same node as its own Build — the
 /// MV-index compile stage plans each of its handful of shapes once and
 /// executes them ~200K times.

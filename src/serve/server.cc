@@ -294,14 +294,19 @@ void Server::Pause() {
 }
 
 void Server::Resume() {
+  bool queued = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     MVDB_CHECK(paused_) << "Server::Resume without a matching Pause";
     // No batch is executing, so the warm-up races with nothing.
     db_->WarmIndexes();
     paused_ = false;
+    queued = !queue_.empty();
   }
-  cv_.notify_all();
+  // Only requests queued during the pause need a worker woken: an idle
+  // worker waits for a non-empty queue, and a later Submit notifies one.
+  // Skipping the wake keeps an idle server's delta free of a futex wake.
+  if (queued) cv_.notify_all();
 }
 
 void Server::InvalidatePlans() {

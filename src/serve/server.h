@@ -201,8 +201,10 @@ class Server {
   /// call Execute() concurrently (it bypasses the queue and the pause).
   void Pause();
 
-  /// Re-warms the database's lazy table indexes and unparks the workers.
-  /// The server keeps no copy of index state: every batch reads the
+  /// Re-warms the database's lazy table indexes and unparks the workers,
+  /// waking them only when requests queued during the pause (an idle
+  /// worker waits for a non-empty queue; a later Submit wakes one). The
+  /// server keeps no copy of index state: every batch reads the
   /// variable order and P0(NOT W) off the index when it runs, so every
   /// request dequeued afterwards sees the post-mutation index.
   void Resume();

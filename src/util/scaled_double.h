@@ -125,6 +125,21 @@ class ScaledDouble {
     return r;
   }
 
+  /// std::frexp of a `v` the caller knows is a finite normal nonzero
+  /// double (anything else yields garbage, never UB): exponent-field
+  /// arithmetic alone, FrexpFast's fast branch. The MV-index block-product
+  /// fold splits its unnormalized running products with it
+  /// (mvindex/mv_index.cc, FoldBlockProducts).
+  static double FrexpNormal(double v, int64_t* exp) {
+    uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    *exp = static_cast<int64_t>((bits >> 52) & 0x7ff) - 1022;
+    bits = (bits & ~(0x7ffULL << 52)) | (1022ULL << 52);
+    double m;
+    std::memcpy(&m, &bits, sizeof(m));
+    return m;
+  }
+
  private:
   /// std::frexp, minus the libm call on the hot path: frexp of a finite
   /// normal double is exact — mantissa bits are untouched, only the
@@ -145,11 +160,7 @@ class ScaledDouble {
       *exp = e;
       return m;
     }
-    *exp = static_cast<int64_t>(biased) - 1022;
-    bits = (bits & ~(0x7ffULL << 52)) | (1022ULL << 52);
-    double m;
-    std::memcpy(&m, &bits, sizeof(m));
-    return m;
+    return FrexpNormal(v, exp);
   }
 
   /// std::ldexp(m, -diff) for the aligned-addition path: a canonical

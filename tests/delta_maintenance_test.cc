@@ -15,7 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -363,6 +368,88 @@ TEST(DeltaMaintenanceTest, CrashedPatchIsRejectedUntilRepatched) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_EQ(HashIndex(engine.index()), HashIndex(**recovered));
   EXPECT_EQ(HashScaledBits(engine.index()), HashScaledBits(**recovered));
+}
+
+/// The block owning the chain nodes on `level` (the directory entry whose
+/// slice holds its first node), or none when no chain node branches on it.
+std::optional<size_t> DirtyBlockOf(const MvIndex& index, int32_t level) {
+  const auto [begin, end] = index.flat().NodesAtLevel(level);
+  if (begin == end) return std::nullopt;
+  const std::vector<MvBlock>& blocks = index.blocks();
+  size_t b = 0;
+  while (b + 1 < blocks.size() && blocks[b + 1].chain_root <= begin) ++b;
+  return b;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(DeltaMaintenanceTest, PatchTrackingIsBoundedAndDistinct) {
+  auto mvdb = BuildDblp(400);
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  const Table* student = mvdb->db().Find("Student");
+  ASSERT_NE(student, nullptr);
+  // Student rows with chain nodes, so every delta repairs a block.
+  std::vector<RowId> rows;
+  for (size_t r = 0; r < student->size(); ++r) {
+    const VarId v = student->var(static_cast<RowId>(r));
+    if (engine.manager().has_var(v) &&
+        DirtyBlockOf(engine.index(), engine.manager().level_of_var(v))) {
+      rows.push_back(static_cast<RowId>(r));
+    }
+  }
+  ASSERT_GE(rows.size(), 20u);
+  auto values_of = [&](RowId r) {
+    std::vector<Value> v;
+    for (size_t c = 0; c < student->arity(); ++c) v.push_back(student->At(r, c));
+    return v;
+  };
+  double weight = 0.5;
+  auto move = [&](RowId r) {
+    weight += 0.001;
+    return engine.ApplyDelta(
+        {Op(DeltaOp::Kind::kUpdateWeight, "Student", values_of(r), weight)});
+  };
+
+  // Never saved: PatchFile would rewrite whole sections, so 1,000 deltas
+  // must leave nothing tracked.
+  for (size_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(move(rows[i % rows.size()]).ok());
+  }
+  const MvIndexRepairStats& stats = engine.index().last_repair_stats();
+  ASSERT_TRUE(stats.valid);
+  EXPECT_EQ(stats.pending_patch_levels, 0u);
+  EXPECT_EQ(stats.pending_patch_blocks, 0u);
+
+  // Saved: the sets hold exactly the distinct levels and blocks changed
+  // since, however often a row repeats.
+  const std::string path = ::testing::TempDir() + "/delta_pending.mvidx";
+  ASSERT_TRUE(engine.index().Save(path).ok());
+  std::set<int32_t> levels;
+  std::set<size_t> blocks;
+  for (size_t k = 0; k < 60; ++k) {
+    const RowId r = rows[(k * 7) % 20];
+    ASSERT_TRUE(move(r).ok());
+    const int32_t l = engine.manager().level_of_var(student->var(r));
+    levels.insert(l);
+    blocks.insert(*DirtyBlockOf(engine.index(), l));
+  }
+  EXPECT_EQ(stats.pending_patch_levels, levels.size());
+  EXPECT_EQ(stats.pending_patch_blocks, blocks.size());
+
+  // The slice patch leaves the file byte-identical to a fresh Save.
+  ASSERT_TRUE(engine.index().PatchFile(path).ok());
+  const std::string fresh = ::testing::TempDir() + "/delta_pending_fresh.mvidx";
+  ASSERT_TRUE(engine.index().Save(fresh).ok());
+  const std::string patched_bytes = FileBytes(path);
+  ASSERT_FALSE(patched_bytes.empty());
+  EXPECT_TRUE(patched_bytes == FileBytes(fresh));
+  std::remove(path.c_str());
+  std::remove(fresh.c_str());
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ void ExpectIdenticalIndexes(const MvIndex& a, const MvIndex& b) {
   for (size_t i = 0; i < a.blocks().size(); ++i) {
     const MvBlock& ba = a.blocks()[i];
     const MvBlock& bb = b.blocks()[i];
-    EXPECT_EQ(ba.key, bb.key) << "block " << i;
+    EXPECT_EQ(a.block_key(i), b.block_key(i)) << "block " << i;
     EXPECT_EQ(ba.chain_root, bb.chain_root) << "block " << i;
     EXPECT_EQ(ba.first_level, bb.first_level) << "block " << i;
     EXPECT_EQ(ba.last_level, bb.last_level) << "block " << i;

@@ -9,12 +9,15 @@
 // Determinism: tests that need a full queue construct the server with
 // start_workers=false, so nothing dequeues until Start() — admission
 // decisions then depend only on the submit sequence, never on timing. The
-// only sleep is to let an already-admitted request's deadline expire
-// before workers start, which is racefree by construction.
+// sleeps let an already-admitted request's deadline expire before workers
+// start, and let a paused worker park again before Resume — both are
+// racefree by construction (a slow machine only weakens the wake check).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <thread>
@@ -194,6 +197,55 @@ TEST(ServeDeadlineTest, ShutdownWithoutWorkersFailsQueuedRequestsCleanly) {
     EXPECT_EQ(f.get().status.code(), StatusCode::kUnavailable);
   }
   EXPECT_EQ(server->stats().rejected_shutdown, 3u);
+}
+
+/// Waits at most 10 s for `fut` — a missed wake-up fails the test instead
+/// of hanging it.
+bool CompletesInTime(const std::future<ServeResult>& fut) {
+  return fut.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+}
+
+void ExpectSameBits(const ServeResult& got, const ServeResult& want) {
+  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+  ASSERT_EQ(got.answers.size(), want.answers.size());
+  for (size_t i = 0; i < got.answers.size(); ++i) {
+    EXPECT_EQ(got.answers[i].head, want.answers[i].head) << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.answers[i].prob),
+              std::bit_cast<uint64_t>(want.answers[i].prob))
+        << i;
+  }
+}
+
+TEST(ServeDeadlineTest, ResumeWakesWorkersOnlyForQueuedRequests) {
+  ServeOptions opts;
+  opts.num_threads = 1;
+  auto server = MakeServer(opts);
+  const ServeResult want = server->Execute(Req());
+  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+  ASSERT_GT(want.answers.size(), 0u);
+
+  // Requests admitted while paused wait for Resume, which must wake the
+  // parked worker: their Submit-time notifications found it paused.
+  server->Pause();
+  std::vector<std::future<ServeResult>> queued;
+  for (int i = 0; i < 3; ++i) queued.push_back(server->Submit(Req()));
+  // Let the worker take those notifications while still paused and park
+  // again, so only Resume's own wake can start it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server->Resume();
+  for (auto& f : queued) {
+    ASSERT_TRUE(CompletesInTime(f)) << "queued request never ran";
+    ExpectSameBits(f.get(), want);
+  }
+
+  // An idle Resume wakes nobody; the next Submit's own notification must
+  // still reach the worker.
+  server->Pause();
+  server->Resume();
+  auto after = server->Submit(Req());
+  ASSERT_TRUE(CompletesInTime(after)) << "request after idle Resume never ran";
+  ExpectSameBits(after.get(), want);
+  EXPECT_EQ(server->stats().completed, 4u);
 }
 
 TEST(ServeDeadlineTest, SubmitAfterShutdownIsRejected) {

@@ -175,8 +175,9 @@ inline uint64_t HashIndex(const MvIndex& index) {
     FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(flat.hi(u))), &h);
   }
   FnvMix(index.blocks().size(), &h);
-  for (const MvBlock& b : index.blocks()) {
-    for (char c : b.key) FnvMix(static_cast<uint64_t>(c), &h);
+  for (size_t i = 0; i < index.blocks().size(); ++i) {
+    const MvBlock& b = index.blocks()[i];
+    for (char c : index.block_key(i)) FnvMix(static_cast<uint64_t>(c), &h);
     FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.chain_root)), &h);
     FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.first_level)), &h);
     FnvMix(static_cast<uint64_t>(static_cast<uint32_t>(b.last_level)), &h);

@@ -57,9 +57,11 @@ void DumpIndex(const mvdb::MvIndex& idx, bool quiet) {
   using mvdb::MvBlock;
   std::printf("flat_size %zu root %d\n", idx.flat().size(), idx.flat().root());
   std::printf("prob_not_w %s\n", idx.ProbNotWScaled().ToString().c_str());
-  for (const MvBlock& b : idx.blocks()) {
-    std::printf("block %s %d %d %d %s\n", b.key.c_str(), b.chain_root,
-                b.first_level, b.last_level, b.prob.ToString().c_str());
+  for (size_t i = 0; i < idx.blocks().size(); ++i) {
+    const MvBlock& b = idx.blocks()[i];
+    std::printf("block %s %d %d %d %s\n", idx.block_key(i).c_str(),
+                b.chain_root, b.first_level, b.last_level,
+                b.prob.ToString().c_str());
   }
   if (quiet) return;
   for (size_t u = 0; u < idx.flat().size(); ++u) {
