@@ -17,14 +17,14 @@ namespace {
 /// Lineage of Q1 ^ Q2: the cross product of the two clause sets.
 Lineage ConjoinLineages(const Lineage& a, const Lineage& b) {
   Lineage out;
+  Clause pos, neg;
   for (size_t i = 0; i < a.size(); ++i) {
     for (size_t j = 0; j < b.size(); ++j) {
-      Clause pos = a.clauses()[i];
-      pos.insert(pos.end(), b.clauses()[j].begin(), b.clauses()[j].end());
-      Clause neg = a.neg_clauses()[i];
-      neg.insert(neg.end(), b.neg_clauses()[j].begin(),
-                 b.neg_clauses()[j].end());
-      out.AddSignedClause(std::move(pos), std::move(neg));
+      pos.assign(a.pos(i).begin(), a.pos(i).end());
+      pos.insert(pos.end(), b.pos(j).begin(), b.pos(j).end());
+      neg.assign(a.neg(i).begin(), a.neg(i).end());
+      neg.insert(neg.end(), b.neg(j).begin(), b.neg(j).end());
+      out.AddSignedClause(pos, neg);
     }
   }
   return out;
@@ -213,16 +213,19 @@ Status QueryEngine::ApplyDelta(const std::vector<DeltaOp>& ops,
     return Status::FailedPrecondition(
         "ApplyDelta requires a compiled or opened index");
   }
+  // The base-table writes race the workers' probes as much as the repair
+  // does (an insert grows a table and drops its lazy column indexes; view
+  // maintenance evaluates over the tables), so the pause covers both.
+  if (server != nullptr) server->Pause();
   DeltaEffects effects;
   const Status applied = mvdb_->ApplyBaseDelta(ops, &effects);
   // Even when a later op failed, the applied prefix already mutated the
   // database — maintain the index for it regardless, or the chain would
   // silently serve answers for a database that no longer exists.
-  if (effects.changed_weight_vars.empty() && effects.new_vars.empty()) {
-    return applied;
+  Status maintained = Status::OK();
+  if (!effects.changed_weight_vars.empty() || !effects.new_vars.empty()) {
+    maintained = MaintainIndex(effects);
   }
-  if (server != nullptr) server->Pause();
-  const Status maintained = MaintainIndex(effects);
   if (server != nullptr) {
     if (effects.structural()) server->InvalidatePlans();
     server->Resume();

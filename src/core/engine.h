@@ -119,12 +119,15 @@ class QueryEngine {
   /// the mutated database (delta_maintenance_test pins it).
   ///
   /// When `server` is non-null it must be a live Server over this engine's
-  /// index: it is paused around the index mutation and resumed with its
-  /// table indexes re-warmed (its batches read the order and P0(NOT W) off
-  /// the index); its plan cache is invalidated only when the delta is
-  /// structural — plans are value-independent, so weight moves keep it
-  /// warm. The engine-side caches follow the same rule (w_lineage_ and the
-  /// query plan cache survive weight-only deltas).
+  /// index: it is paused before the first base-table write — every delta,
+  /// a no-op included — and resumed after the index repair (its batches
+  /// read the order and P0(NOT W) off the index). Only a structural delta
+  /// calls Server::InvalidatePlans, which re-warms the table indexes its
+  /// row appends dropped and drops the plan cache; plans are
+  /// value-independent and a weight move writes only tuple weights, so a
+  /// weight-only delta keeps both warm. The engine-side caches follow the
+  /// same rule (w_lineage_ and the query plan cache survive weight-only
+  /// deltas).
   ///
   /// On a non-OK return the database may hold an applied prefix of `ops`
   /// while the index does not reflect it; the typed code says why

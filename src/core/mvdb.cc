@@ -1,5 +1,6 @@
 #include "core/mvdb.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -76,6 +77,7 @@ Status Mvdb::Translate(const TranslateOptions& options) {
   w_.name = std::string("W");
 
   view_tuples_.resize(views_.size());
+  nv_tables_.assign(views_.size(), nullptr);
   for (size_t i = 0; i < views_.size(); ++i) {
     const MarkoView& view = views_[i];
 
@@ -125,7 +127,7 @@ Status Mvdb::Translate(const TranslateOptions& options) {
       attrs.push_back(view.definition().var_names[static_cast<size_t>(hv)]);
     }
     MVDB_ASSIGN_OR_RETURN(Table * nv, db_.CreateTable(nv_name, attrs, true));
-    (void)nv;
+    nv_tables_[i] = nv;
     for (ViewTuple& t : tuples) {
       if (t.weight == 1.0) continue;  // independence: no feature, no NV tuple
       const double w0 =
@@ -158,12 +160,10 @@ Status Mvdb::ApplyOneDelta(const DeltaOp& op, DeltaEffects* effects) {
   if (t == nullptr) {
     return Status::NotFound("no such table: " + op.table);
   }
-  for (size_t i = 0; i < views_.size(); ++i) {
-    if (op.table == NvTableName(i)) {
-      return Status::InvalidArgument(
-          "NV relations are maintained by the translation; mutate the base "
-          "tables instead: " + op.table);
-    }
+  if (std::find(nv_tables_.begin(), nv_tables_.end(), t) != nv_tables_.end()) {
+    return Status::InvalidArgument(
+        "NV relations are maintained by the translation; mutate the base "
+        "tables instead: " + op.table);
   }
   if (!t->probabilistic()) {
     return Status::Unimplemented(
@@ -195,7 +195,6 @@ Status Mvdb::ApplyOneDelta(const DeltaOp& op, DeltaEffects* effects) {
     // stays *possible* — only its marginal drops to zero.
     db_.set_var_weight(v, w);
     effects->changed_weight_vars.push_back(v);
-    effects->touched_rows.emplace_back(op.table, row);
     return Status::OK();
   }
 
@@ -210,8 +209,6 @@ Status Mvdb::ApplyOneDelta(const DeltaOp& op, DeltaEffects* effects) {
   const VarId v =
       db_.InsertProbabilistic(op.table, std::span<const Value>(op.values), w);
   effects->new_vars.push_back(v);
-  effects->touched_rows.emplace_back(
-      op.table, static_cast<RowId>(t->size() - 1));
   for (size_t i = 0; i < views_.size(); ++i) {
     MVDB_RETURN_NOT_OK(MaintainViewForInsert(
         i, op.table, std::span<const Value>(op.values), effects));
@@ -275,7 +272,7 @@ Status Mvdb::MaintainViewForInsert(size_t view_index, const std::string& table,
   }
 
   const std::string nv_name = NvTableName(view_index);
-  const bool has_nv_table = db_.Find(nv_name) != nullptr;
+  const bool has_nv_table = nv_tables_[view_index] != nullptr;
 
   // Stage 2: point-wise reconciliation, in the candidates' deterministic
   // order. Each head is re-grounded over the full definition, yielding its

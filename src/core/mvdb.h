@@ -84,9 +84,6 @@ struct DeltaEffects {
   /// Freshly allocated variables (inserted base tuples + induced NV tuples),
   /// in allocation order.
   std::vector<VarId> new_vars;
-  /// Base rows the delta touched (inserted or re-weighted), for mapping to
-  /// dirty partition tasks.
-  std::vector<std::pair<std::string, RowId>> touched_rows;
   /// A structural delta changes the variable set; a weight-only delta never
   /// does.
   bool structural() const { return !new_vars.empty(); }
@@ -167,6 +164,9 @@ class Mvdb {
 
   Database db_;
   std::vector<MarkoView> views_;
+  /// The NV relation of each view, parallel to views_ (nullptr for an
+  /// empty or all-denial view, which has none). Set by Translate().
+  std::vector<const Table*> nv_tables_;
   std::vector<std::vector<ViewTuple>> view_tuples_;
   Ucq w_;
   size_t base_num_vars_ = 0;

@@ -135,8 +135,8 @@ ConResult ConObddBuilder::FromLineage(const Lineage& lineage) {
   }
   // One pass: the synthesis already touches every literal's level, so it
   // widens the range as it goes.
-  out.id = mgr_->FromLineageSynthesisRanged(lineage, &out.min_level,
-                                            &out.max_level);
+  out.id = mgr_->FromClauseListSynthesis(lineage.clause_list(),
+                                         &out.min_level, &out.max_level);
   // A single clause is a chain built directly, no apply: concatenation-grade.
   if (lineage.size() > 1) {
     ++synthesis_count_;

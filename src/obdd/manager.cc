@@ -182,7 +182,8 @@ NodeId BddManager::ConcatAnd(NodeId f, NodeId g) {
   return ConcatRec(f, g, kTrue, &concat_memo_);
 }
 
-NodeId BddManager::FromSignedClauseRanged(const Clause& pos, const Clause& neg,
+NodeId BddManager::FromSignedClauseRanged(std::span<const VarId> pos,
+                                          std::span<const VarId> neg,
                                           int32_t* min_level,
                                           int32_t* max_level) {
   // Build the conjunction chain bottom-up in descending level order; a
@@ -228,16 +229,13 @@ NodeId BddManager::FromSignedClauseRanged(const Clause& pos, const Clause& neg,
   return acc;
 }
 
-NodeId BddManager::FromLineageSynthesisRanged(const Lineage& lineage,
-                                              int32_t* min_level,
-                                              int32_t* max_level) {
+NodeId BddManager::FromClauseListSynthesis(ClauseList clauses,
+                                           int32_t* min_level,
+                                           int32_t* max_level) {
   NodeId acc = kFalse;
-  const auto& pos = lineage.clauses();
-  const auto& neg = lineage.neg_clauses();
-  const Clause empty;
-  for (size_t i = 0; i < pos.size(); ++i) {
-    const Clause& n = i < neg.size() ? neg[i] : empty;
-    acc = Or(acc, FromSignedClauseRanged(pos[i], n, min_level, max_level));
+  for (size_t i = 0; i < clauses.size(); ++i) {
+    acc = Or(acc, FromSignedClauseRanged(clauses.pos(i), clauses.neg(i),
+                                         min_level, max_level));
   }
   return acc;
 }

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -89,14 +90,17 @@ class BddManager {
   NodeId ConcatAnd(NodeId f, NodeId g);
 
   /// Conjunction of positive literals, built directly (no apply).
-  NodeId FromClause(const Clause& clause) { return FromSignedClause(clause, {}); }
+  NodeId FromClause(std::span<const VarId> clause) {
+    return FromSignedClause(clause, {});
+  }
 
   /// Conjunction pos ^ !neg (Section 2.5 negation extension), built
   /// directly. Returns kFalse on a contradictory literal pair. The literals
   /// fill a member buffer, and the per-clause sort is skipped when they are
   /// already level-sorted — the common case, since lineage clauses come out
   /// of ordered scans.
-  NodeId FromSignedClause(const Clause& pos, const Clause& neg) {
+  NodeId FromSignedClause(std::span<const VarId> pos,
+                          std::span<const VarId> neg) {
     return FromSignedClauseRanged(pos, neg, nullptr, nullptr);
   }
 
@@ -104,16 +108,18 @@ class BddManager {
   /// clause BDDs combined by repeated synthesis. This is the "native CUDD"
   /// comparator in Fig. 8.
   NodeId FromLineageSynthesis(const Lineage& lineage) {
-    return FromLineageSynthesisRanged(lineage, nullptr, nullptr);
+    return FromClauseListSynthesis(lineage.clause_list());
   }
 
-  /// FromLineageSynthesis that, when min_level / max_level are non-null,
-  /// additionally widens them by the level of every literal the lineage
-  /// mentions (contradictory clauses included), during the same pass over
-  /// the clauses. The ConObdd builder needs that range for concatenation
-  /// eligibility.
-  NodeId FromLineageSynthesisRanged(const Lineage& lineage, int32_t* min_level,
-                                    int32_t* max_level);
+  /// The synthesis loop itself, over a flat clause list: a Lineage's, or
+  /// one head group of an evaluation's AnswerTable (the serving path
+  /// synthesizes straight from the table). When min_level / max_level are
+  /// non-null it additionally widens them by the level of every literal
+  /// the clauses mention, during the same pass; the ConObdd builder needs
+  /// that range for concatenation eligibility.
+  NodeId FromClauseListSynthesis(ClauseList clauses,
+                                 int32_t* min_level = nullptr,
+                                 int32_t* max_level = nullptr);
 
   /// P(f) by memoized Shannon expansion; probs indexed by VarId. Valid for
   /// probabilities outside [0,1]. Computed in extended-range arithmetic —
@@ -205,8 +211,9 @@ class BddManager {
                    std::unordered_map<NodeId, NodeId>* memo);
   /// FromSignedClause; when min_level/max_level are non-null they are
   /// widened by every literal's level.
-  NodeId FromSignedClauseRanged(const Clause& pos, const Clause& neg,
-                                int32_t* min_level, int32_t* max_level);
+  NodeId FromSignedClauseRanged(std::span<const VarId> pos,
+                                std::span<const VarId> neg, int32_t* min_level,
+                                int32_t* max_level);
 
   std::shared_ptr<const VarOrder> order_;
   std::vector<BddNode> nodes_;

@@ -1,6 +1,7 @@
 #include "query/eval.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
 #include "query/analysis.h"
@@ -16,12 +17,11 @@ constexpr size_t kMinRowsPerWorker = 512;
 
 /// Per-execution view threaded through the join recursion: the reusable
 /// scratch buffers, the slot binding of this execution, and the output sink
-/// (answer map, or a bare lineage on the Boolean fast path).
+/// (an answer map, or else the scratch's answer table).
 struct ExecContext {
   EvalScratch* scratch = nullptr;
   const Value* slots = nullptr;
   AnswerMap* out = nullptr;
-  Lineage* bool_out = nullptr;
 };
 
 }  // namespace
@@ -349,7 +349,7 @@ class CqPlan {
     // negated *deterministic* atom whose tuple exists kills the binding; a
     // negated *probabilistic* atom whose tuple is possible contributes a
     // negated literal (Section 2.5's extension).
-    Clause neg_vars;
+    st->neg_vars.clear();
     for (size_t i : negatives_) {
       const Atom& atom = cq_.atoms[i];
       const Table* table = tables_[i];
@@ -363,27 +363,25 @@ class CqPlan {
       if (!table->FindRow(st->row_buf, &r)) continue;  // impossible: not holds
       const VarId var = table->var(r);
       if (var == kNoVar) return;  // deterministic tuple present: binding dies
-      neg_vars.push_back(var);
+      st->neg_vars.push_back(var);
     }
-    if (ctx.bool_out != nullptr) {
-      // Boolean fast path: the single (empty) head group is the lineage
-      // itself — same AddSignedClause sequence the map path would perform.
-      ctx.bool_out->AddSignedClause(st->clause_vars, std::move(neg_vars));
-      return;
-    }
-    // Look the head up in the scratch buffer; only a new answer copies it.
     std::vector<Value>& head = st->head;
     head.clear();
     for (int hv : q_.head_vars) {
       MVDB_DCHECK(st->bound[static_cast<size_t>(hv)]);
       head.push_back(st->binding[static_cast<size_t>(hv)]);
     }
+    if (ctx.out == nullptr) {
+      st->answers.AddRow(head, st->clause_vars, st->neg_vars);
+      return;
+    }
+    // Look the head up in the scratch buffer; only a new answer copies it.
     auto it = ctx.out->lower_bound(head);
     if (it == ctx.out->end() || it->first != head) {
       it = ctx.out->emplace_hint(it, head, AnswerInfo{});
     }
     AnswerInfo& info = it->second;
-    info.lineage.AddSignedClause(st->clause_vars, std::move(neg_vars));
+    info.lineage.AddSignedClause(st->clause_vars, st->neg_vars);
     if (opts_.count_var >= 0 &&
         st->bound[static_cast<size_t>(opts_.count_var)]) {
       info.count_values.insert(st->binding[static_cast<size_t>(opts_.count_var)]);
@@ -403,6 +401,65 @@ class CqPlan {
   std::vector<uint32_t> comp_offsets_;    // per-depth ranges in comp_sched_
   bool driver_is_probe_ = false;
 };
+
+void AnswerTable::Clear(size_t head_arity) {
+  head_arity_ = head_arity;
+  head_vals_.clear();
+  lits_.clear();
+  rows_.clear();
+  order_.clear();
+  canon_.clear();
+  heads_.clear();
+}
+
+void AnswerTable::AddRow(std::span<const Value> head, std::span<const VarId> pos,
+                         std::span<const VarId> neg) {
+  MVDB_DCHECK(head.size() == head_arity_);
+  head_vals_.insert(head_vals_.end(), head.begin(), head.end());
+  Row row;
+  // A contradictory clause leaves no literals, but its row keeps the head.
+  row.contradictory = !AppendSignedClause(pos, neg, &lits_, &row.clause);
+  rows_.push_back(row);
+}
+
+void AnswerTable::Group() {
+  const size_t n = rows_.size();
+  const size_t k = head_arity_;
+  auto head_of = [&](size_t r) { return head_vals_.data() + r * k; };
+  order_.resize(n);
+  for (size_t r = 0; r < n; ++r) order_[r] = static_cast<uint32_t>(r);
+  // AnswerMap's key order. Rows of one head may land in any order: the
+  // canonical clause list below is a function of the head's clause set.
+  if (k > 0) {
+    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+      return std::lexicographical_compare(head_of(a), head_of(a) + k,
+                                          head_of(b), head_of(b) + k);
+    });
+  }
+  heads_.clear();
+  canon_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t r = order_[i];
+    if (i == 0 ||
+        !std::equal(head_of(order_[i - 1]), head_of(order_[i - 1]) + k,
+                    head_of(r))) {
+      heads_.push_back(HeadGroup{static_cast<uint32_t>(i),
+                                 static_cast<uint32_t>(canon_.size()),
+                                 static_cast<uint32_t>(canon_.size())});
+    }
+    if (!rows_[r].contradictory) {
+      canon_.push_back(rows_[r].clause);
+      heads_.back().clause_end = static_cast<uint32_t>(canon_.size());
+    }
+  }
+  for (HeadGroup& g : heads_) {
+    g.clause_end =
+        g.clause_begin +
+        static_cast<uint32_t>(CanonicalizeClauses(
+            lits_, std::span<ClauseBounds>(canon_).subspan(
+                       g.clause_begin, g.clause_end - g.clause_begin)));
+  }
+}
 
 namespace {
 
@@ -462,6 +519,21 @@ void PlanTemplate::WarmIndexes() const {
   for (const auto& plan : plans_) plan->WarmPlanIndexes();
 }
 
+Status PlanTemplate::Execute(std::span<const Value> slots,
+                             EvalScratch* scratch) const {
+  MVDB_DCHECK(opts_.count_var < 0);
+  AnswerTable& table = scratch->answers;
+  table.Clear(q_.head_vars.size());
+  ExecContext ctx;
+  ctx.scratch = scratch;
+  ctx.slots = slots.data();
+  for (const auto& plan : plans_) {
+    plan->Execute(0, plan->NumDriverRows(slots.data()), ctx);
+  }
+  table.Group();
+  return Status::OK();
+}
+
 Status PlanTemplate::Execute(std::span<const Value> slots, EvalScratch* scratch,
                              AnswerMap* out) const {
   for (const auto& plan : plans_) {
@@ -513,16 +585,13 @@ Status PlanTemplate::Execute(std::span<const Value> slots, EvalScratch* scratch,
 Status PlanTemplate::ExecuteBoolean(std::span<const Value> slots,
                                     EvalScratch* scratch, Lineage* out) const {
   MVDB_DCHECK(q_.IsBoolean());
-  MVDB_DCHECK(opts_.count_var < 0);
-  *out = Lineage();
-  ExecContext ctx;
-  ctx.scratch = scratch;
-  ctx.slots = slots.data();
-  ctx.bool_out = out;
-  for (const auto& plan : plans_) {
-    plan->Execute(0, plan->NumDriverRows(slots.data()), ctx);
+  MVDB_RETURN_NOT_OK(Execute(slots, scratch));
+  const AnswerTable& table = scratch->answers;
+  if (table.num_heads() == 0) {
+    out->clear();
+  } else {
+    out->Assign(table.clauses(0));
   }
-  out->Normalize();
   return Status::OK();
 }
 
@@ -538,11 +607,12 @@ StatusOr<Lineage> EvalBoolean(const Database& db, const Ucq& q) {
   if (!q.IsBoolean()) {
     return Status::InvalidArgument("EvalBoolean requires a Boolean query");
   }
-  AnswerMap answers;
-  MVDB_RETURN_NOT_OK(Eval(db, q, EvalOptions{}, &answers));
-  if (answers.empty()) return Lineage();
-  MVDB_CHECK_EQ(answers.size(), 1u);
-  return answers.begin()->second.lineage;
+  MVDB_ASSIGN_OR_RETURN(std::unique_ptr<const PlanTemplate> tmpl,
+                        PlanTemplate::Plan(db, q, EvalOptions{}));
+  EvalScratch scratch;
+  Lineage out;
+  MVDB_RETURN_NOT_OK(tmpl->ExecuteBoolean(tmpl->exemplar_slots(), &scratch, &out));
+  return out;
 }
 
 }  // namespace mvdb

@@ -13,9 +13,12 @@
 // with per-worker result maps merged deterministically.
 //
 // Every join result emits one lineage clause containing the Boolean
-// variables of the probabilistic tuples it used; answers are canonicalized
-// (Lineage::Normalize) before returning, which is what makes every thread
-// count agree bit-for-bit (and what eval_join_test compares against a naive
+// variables of the probabilistic tuples it used, into its answer's lineage
+// (AnswerMap) or as one row of an answer table (AnswerTable, the serving
+// body's sink). Each answer's clauses are canonicalized
+// (CanonicalizeClauses, the routine behind Lineage::Normalize) before
+// returning, which is what makes every thread count and both sinks agree
+// bit-for-bit (and what eval_join_test compares against a naive
 // scan-everything evaluator).
 
 #ifndef MVDB_QUERY_EVAL_H_
@@ -71,17 +74,73 @@ Status Eval(const Database& db, const Ucq& q, const EvalOptions& opts,
 /// derivations exist).
 StatusOr<Lineage> EvalBoolean(const Database& db, const Ucq& q);
 
+/// The answer table of PlanTemplate::Execute(slots, scratch), the sink the
+/// serving body and ExecuteBoolean read. Every join result appends a row:
+/// its head values and its clause, canonicalized as
+/// Lineage::AddSignedClause does. After the execution the heads are in
+/// AnswerMap order and each head's clauses are canonical
+/// (CanonicalizeClauses), so head h's clause list is exactly the lineage
+/// the AnswerMap sink holds for it. A head whose every clause is
+/// contradictory (x ^ !x) keeps its place with no clauses: a false lineage,
+/// as in the map. The buffers keep their capacity across executions.
+class AnswerTable {
+ public:
+  size_t num_heads() const { return heads_.size(); }
+  std::span<const Value> head(size_t h) const {
+    return {head_vals_.data() + order_[heads_[h].row] * head_arity_,
+            head_arity_};
+  }
+  ClauseList clauses(size_t h) const {
+    return ClauseList{lits_, std::span<const ClauseBounds>(canon_).subspan(
+                                 heads_[h].clause_begin,
+                                 heads_[h].clause_end - heads_[h].clause_begin)};
+  }
+
+ private:
+  friend class CqPlan;
+  friend class PlanTemplate;
+
+  struct Row {
+    ClauseBounds clause;
+    bool contradictory = false;
+  };
+  /// One head: its first row order_[row], its canonical clauses
+  /// canon_[clause_begin, clause_end).
+  struct HeadGroup {
+    uint32_t row;
+    uint32_t clause_begin, clause_end;
+  };
+
+  void Clear(size_t head_arity);
+  void AddRow(std::span<const Value> head, std::span<const VarId> pos,
+              std::span<const VarId> neg);
+  /// Sorts the rows by head and canonicalizes each head's clauses.
+  void Group();
+
+  size_t head_arity_ = 0;
+  std::vector<Value> head_vals_;     ///< row r's head at [r * arity, +arity)
+  std::vector<VarId> lits_;          ///< every row's clause literals
+  std::vector<Row> rows_;
+  std::vector<uint32_t> order_;      ///< row ids sorted by head
+  std::vector<ClauseBounds> canon_;  ///< per head, its canonical clauses
+  std::vector<HeadGroup> heads_;
+};
+
 /// Reusable execution state for PlanTemplate: variable bindings, undo
-/// stacks, the clause and head under construction. One per executing thread;
-/// repeated Execute calls against any template reuse the buffers, so the
-/// steady state allocates nothing. Treat the fields as opaque.
+/// stacks, the clause and head under construction, and the answer table.
+/// One per executing thread; repeated Execute calls against any template
+/// reuse the buffers, so the steady state allocates nothing. Treat the
+/// fields other than `answers` as opaque.
 struct EvalScratch {
   std::vector<Value> binding;
   std::vector<uint8_t> bound;
   std::vector<int> newly_bound;
   Clause clause_vars;
+  Clause neg_vars;
   std::vector<Value> row_buf;
-  std::vector<Value> head;  ///< answer head looked up before it is copied
+  std::vector<Value> head;  ///< the head of the row under construction
+  /// What the last Execute(slots, scratch) produced.
+  AnswerTable answers;
 };
 
 /// A compiled *query shape*: every disjunct planned once by the cost-based
@@ -117,8 +176,14 @@ class PlanTemplate {
   Status Execute(std::span<const Value> slots, EvalScratch* scratch,
                  AnswerMap* out) const;
 
-  /// Boolean fast path: clauses accumulate directly into `*out` (assigned,
-  /// then normalized) with no answer map. Serial; requires a Boolean shape.
+  /// The same evaluation into scratch->answers (replacing its contents),
+  /// with no map: the serving body synthesizes straight from the table.
+  /// Serial; requires count_var < 0 (the table keeps no count values).
+  Status Execute(std::span<const Value> slots, EvalScratch* scratch) const;
+
+  /// Execute(slots, scratch) for a Boolean shape, its one head's clauses
+  /// assigned to `*out` (reusing its capacity; false when nothing
+  /// derives).
   Status ExecuteBoolean(std::span<const Value> slots, EvalScratch* scratch,
                         Lineage* out) const;
 

@@ -37,7 +37,8 @@ Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
   MVDB_RETURN_NOT_OK(tmpl.status());
   // Executing with the query's own slot binding is bit-identical to
   // Eval(q) (the plan-template invariant).
-  return (*tmpl)->Execute(sig.slots, scratch, answers);
+  return answers != nullptr ? (*tmpl)->Execute(sig.slots, scratch, answers)
+                            : (*tmpl)->Execute(sig.slots, scratch);
 }
 
 BddManager* PipelineScratch::BorrowManager(
@@ -62,17 +63,17 @@ void SynthesizeQuery(const Database& db, const MvIndex& index,
   out->qmgr = nullptr;
   out->heads.clear();
   out->roots.clear();
-  AnswerMap answers;
-  out->status = PlanAndExecute(db, plans, q, &scratch->eval, &answers,
-                               &out->plan_cache_hit);
+  out->status = PlanAndExecute(db, plans, q, &scratch->eval,
+                               /*answers=*/nullptr, &out->plan_cache_hit);
   if (!out->status.ok()) return;
   out->qmgr = scratch->BorrowManager(slot, index.manager().order());
-  // Answers leave the map in head order; extracting moves each head out
-  // instead of copying it.
-  while (!answers.empty()) {
-    auto node = answers.extract(answers.begin());
-    out->roots.push_back(out->qmgr->FromLineageSynthesis(node.mapped().lineage));
-    out->heads.push_back(std::move(node.key()));
+  // The table holds the heads in AnswerMap order with canonical clauses:
+  // the same lineages, and so the same NodeIds, as the map would give.
+  const AnswerTable& table = scratch->eval.answers;
+  for (size_t h = 0; h < table.num_heads(); ++h) {
+    out->roots.push_back(out->qmgr->FromClauseListSynthesis(table.clauses(h)));
+    const std::span<const Value> head = table.head(h);
+    out->heads.emplace_back(head.begin(), head.end());
   }
 }
 
@@ -281,7 +282,11 @@ void Server::ExecuteBatch(std::vector<Pending>* batch,
     stats_.failed += failed;
     stats_.deadline_exceeded += deadline_exceeded;
   }
-  for (size_t i = 0; i < n; ++i) {
+  // Newest-first: a pipelined client blocks on its oldest request, and
+  // set_value wakes a waiter at once. Completing that one last lets the
+  // others land unwatched, so the client wakes once to a finished batch
+  // instead of once per request.
+  for (size_t i = n; i-- > 0;) {
     (*batch)[i].promise.set_value(std::move(results[i]));
   }
 }
@@ -298,8 +303,6 @@ void Server::Resume() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     MVDB_CHECK(paused_) << "Server::Resume without a matching Pause";
-    // No batch is executing, so the warm-up races with nothing.
-    db_->WarmIndexes();
     paused_ = false;
     queued = !queue_.empty();
   }
@@ -310,6 +313,8 @@ void Server::Resume() {
 }
 
 void Server::InvalidatePlans() {
+  // Paused, so no batch is executing: the warm-up races with nothing.
+  db_->WarmIndexes();
   plan_cache_ = std::make_unique<PlanCache>(options_.plan_cache_capacity);
 }
 

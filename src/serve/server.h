@@ -88,13 +88,17 @@ struct PipelineScratch {
 /// Clamps values within floating-point noise of [0, 1].
 double ClampProb(double p);
 
-/// Step 1: bit-identical to Eval(q); the cache only saves planning.
+/// Step 1: bit-identical to Eval(q); the cache only saves planning. The
+/// answers go to `answers`, or with `answers` null stay in
+/// scratch->answers (the table the serving body reads).
 Status PlanAndExecute(const Database& db, PlanCache* plans, const Ucq& q,
                       EvalScratch* scratch, AnswerMap* answers,
                       bool* plan_cache_hit = nullptr);
 
-/// Steps 1-2 into the pooled manager of batch slot `slot`. Failures land
-/// in out->status.
+/// Steps 1-2 into the pooled manager of batch slot `slot`: each head's
+/// canonical clauses are synthesized straight from the scratch's answer
+/// table, and only the head values are copied out. Failures land in
+/// out->status.
 void SynthesizeQuery(const Database& db, const MvIndex& index,
                      PlanCache* plans, const Ucq& q, PipelineScratch* scratch,
                      size_t slot, SynthesizedQuery* out);
@@ -180,7 +184,10 @@ class Server {
 
   /// Enqueues a request; never blocks. The future always completes: with
   /// answers, or with a typed error (kUnavailable when shed or shut down,
-  /// kDeadlineExceeded when expired).
+  /// kDeadlineExceeded when expired). The order in which the futures of
+  /// one batch complete is not a contract: a worker completes its batch
+  /// newest-first, so a client waiting on its oldest request is woken
+  /// once, with the whole batch ready.
   std::future<ServeResult> Submit(ServeRequest req);
 
   /// Synchronous in-caller execution — the serial reference path. Bypasses
@@ -196,23 +203,30 @@ class Server {
   /// Quiesces the worker pool for an index/database mutation: blocks until
   /// every dequeued batch has completed, then keeps workers parked on the
   /// dequeue condition. Admission stays open — requests queue up and are
-  /// served after Resume(). Callers must not Pause() twice without an
-  /// intervening Resume(), must not Shutdown() while paused, and must not
-  /// call Execute() concurrently (it bypasses the queue and the pause).
+  /// served after Resume(). Every write to the database or the index must
+  /// happen inside a Pause()/Resume() pair, and a structural mutation (rows
+  /// appended, which drops a table's lazy column indexes) must also call
+  /// InvalidatePlans() before Resume(). Callers must not Pause() twice
+  /// without an intervening Resume(), must not Shutdown() while paused, and
+  /// must not call Execute() concurrently (it bypasses the queue and the
+  /// pause).
   void Pause();
 
-  /// Re-warms the database's lazy table indexes and unparks the workers,
-  /// waking them only when requests queued during the pause (an idle
-  /// worker waits for a non-empty queue; a later Submit wakes one). The
-  /// server keeps no copy of index state: every batch reads the
-  /// variable order and P0(NOT W) off the index when it runs, so every
-  /// request dequeued afterwards sees the post-mutation index.
+  /// Unparks the workers, waking them only when requests queued during the
+  /// pause (an idle worker waits for a non-empty queue; a later Submit
+  /// wakes one). The server keeps no copy of index state: every batch
+  /// reads the variable order and P0(NOT W) off the index when it runs, so
+  /// every request dequeued afterwards sees the post-mutation index. It
+  /// does not touch the database: after a structural mutation,
+  /// InvalidatePlans() must already have re-warmed its indexes.
   void Resume();
 
-  /// Drops every cached plan. Only needed for structural mutations: plans
-  /// are value-independent, so weight-only deltas keep the cache warm. Call
-  /// between Pause() and Resume() — workers read the cache pointer without
-  /// a lock.
+  /// For a structural mutation, between Pause() and Resume(): re-warms the
+  /// database's lazy table indexes (row appends dropped them, and workers
+  /// only read) and drops every cached plan (costed against the old table
+  /// statistics; workers read the cache pointer without a lock). A
+  /// weight-only delta writes only tuple weights, so it skips this call and
+  /// keeps both warm.
   void InvalidatePlans();
 
   ServerStats stats() const;

@@ -39,10 +39,10 @@ class ConditionalFixture : public ::testing::Test {
     const Lineage l2 = *EvalBoolean(mvdb_->db(), q2);
     // P(Q1 ^ Q2) via lineage conjunction: distribute clauses.
     Lineage joint;
-    for (size_t i = 0; i < l1.clauses().size(); ++i) {
-      for (size_t j = 0; j < l2.clauses().size(); ++j) {
-        Clause pos = l1.clauses()[i];
-        pos.insert(pos.end(), l2.clauses()[j].begin(), l2.clauses()[j].end());
+    for (size_t i = 0; i < l1.size(); ++i) {
+      for (size_t j = 0; j < l2.size(); ++j) {
+        Clause pos(l1.pos(i).begin(), l1.pos(i).end());
+        pos.insert(pos.end(), l2.pos(j).begin(), l2.pos(j).end());
         joint.AddClause(pos);
       }
     }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "query/eval.h"
 #include "relational/database.h"
 #include "test_util.h"
@@ -169,9 +170,8 @@ void ExpectMatchesNaive(const Database& db, const Ucq& q, int count_var = -1) {
     auto it_ref = ref.begin();
     for (auto it = got.begin(); it != got.end(); ++it, ++it_ref) {
       EXPECT_EQ(it->first, it_ref->first);
-      EXPECT_EQ(it->second.lineage.clauses(), it_ref->second.lineage.clauses());
-      EXPECT_EQ(it->second.lineage.neg_clauses(),
-                it_ref->second.lineage.neg_clauses());
+      EXPECT_EQ(it->second.lineage.ToString(),
+                it_ref->second.lineage.ToString());
       EXPECT_EQ(it->second.count_values, it_ref->second.count_values);
     }
   }
@@ -262,8 +262,10 @@ TEST(EvalJoinTest, NegationOnlyDisjunctEmitsTheEmptyBinding) {
   AnswerMap a1;
   ASSERT_TRUE(Eval(*db, q1, EvalOptions{}, &a1).ok());
   ASSERT_EQ(a1.size(), 1u);
-  EXPECT_EQ(a1.begin()->second.lineage.neg_clauses(),
-            std::vector<Clause>{Clause{var}});
+  const Lineage& l1 = a1.begin()->second.lineage;
+  ASSERT_EQ(l1.size(), 1u);
+  EXPECT_TRUE(l1.pos(0).empty());
+  EXPECT_EQ(Clause(l1.neg(0).begin(), l1.neg(0).end()), Clause{var});
 
   // Negated atom on an impossible tuple: the empty clause (true lineage).
   Ucq q2 = MustParse("Q :- not R(7,7).", &db->dict());
@@ -279,6 +281,50 @@ TEST(EvalJoinTest, NegationOnlyDisjunctEmitsTheEmptyBinding) {
   AnswerMap a3;
   ASSERT_TRUE(Eval(*db, q3, EvalOptions{}, &a3).ok());
   EXPECT_TRUE(a3.empty());
+}
+
+TEST(EvalJoinTest, ContradictoryHeadKeepsAFalseLineage) {
+  // Every clause of every head is s ^ !s for one S tuple, so each clause is
+  // dropped — but the head was derived, and it stays with a false lineage:
+  // through the planned evaluation's answer map, and through the engine
+  // with probability 0.
+  auto mvdb = std::make_unique<Mvdb>();
+  Database& db = mvdb->db();
+  ASSERT_TRUE(db.CreateTable("R", {"x"}, true).ok());
+  ASSERT_TRUE(db.CreateTable("S", {"x", "y"}, true).ok());
+  for (Value x = 1; x <= 3; ++x) {
+    db.InsertProbabilistic("R", {x}, 0.5 + static_cast<double>(x));
+    db.InsertProbabilistic("S", {x, x + 10}, 1.5);
+  }
+  db.InsertProbabilistic("S", {1, 12}, 0.7);
+  Ucq view = MustParse("V(x) :- R(x), S(x,y).", &db.dict());
+  ASSERT_TRUE(
+      mvdb->AddView(MarkoView::Constant("V", std::move(view), 2.5)).ok());
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+
+  const Ucq q = MustParse("Q(x) :- S(x,y), not S(x,y).", &db.dict());
+  ExpectMatchesNaive(db, q);
+  auto tmpl = PlanTemplate::Plan(db, q, EvalOptions{});
+  ASSERT_TRUE(tmpl.ok()) << tmpl.status().ToString();
+  EvalScratch scratch;
+  AnswerMap answers;
+  ASSERT_TRUE(
+      (*tmpl)->Execute((*tmpl)->exemplar_slots(), &scratch, &answers).ok());
+  ASSERT_EQ(answers.size(), 3u);
+  for (const auto& [head, info] : answers) {
+    EXPECT_TRUE(info.lineage.IsFalse()) << head[0] << ": "
+                                        << info.lineage.ToString();
+  }
+
+  auto probs = engine.Query(q);
+  ASSERT_TRUE(probs.ok()) << probs.status().ToString();
+  ASSERT_EQ(probs->size(), 3u);
+  auto it = answers.begin();
+  for (const AnswerProb& a : *probs) {
+    EXPECT_EQ(a.head, (it++)->first);
+    EXPECT_EQ(a.prob, 0.0);
+  }
 }
 
 TEST(EvalJoinTest, UnionsAndEmptyAnswers) {

@@ -59,7 +59,7 @@ TEST(EvalTest, DeterministicTablesYieldNoVars) {
   auto lin = EvalBoolean(db, q);
   ASSERT_TRUE(lin.ok());
   ASSERT_EQ(lin->size(), 1u);
-  EXPECT_EQ(lin->clauses()[0].size(), 1u);  // only P's variable
+  EXPECT_EQ(lin->pos(0).size(), 1u);  // only P's variable
 }
 
 TEST(EvalTest, PurelyDeterministicTrueLineage) {
@@ -95,8 +95,8 @@ TEST(EvalTest, SelfJoinSameTupleDedupes) {
   Ucq q = MustParse("Q :- S(x,y), S(x,y).", &db->dict());
   auto lin = EvalBoolean(*db, q);
   ASSERT_TRUE(lin.ok());
-  for (const Clause& c : lin->clauses()) {
-    EXPECT_EQ(c.size(), 1u);  // both atoms match the same tuple
+  for (size_t i = 0; i < lin->size(); ++i) {
+    EXPECT_EQ(lin->pos(i).size(), 1u);  // both atoms match the same tuple
   }
 }
 

@@ -4,7 +4,7 @@
 // the default backend, which keeps its plan cache and pipeline scratch
 // across calls. After one warm pass, a query may make at most
 // kMaxAllocsPerQuery heap allocations on average: what is left is the
-// lineage clauses and the answer heads and vectors handed to the caller.
+// query's signature and the answer heads and vector handed to the caller.
 // The sanitizers replace operator new themselves, so the test skips there.
 
 #include <gtest/gtest.h>
@@ -97,10 +97,10 @@ namespace {
 
 using testing_util::MustParse;
 
-/// On this mix the serving body made ~155 allocations per query before the
-/// pooled managers, the chain-linked sweep store, the arena-backed sweep
-/// state and the allocation-light signature/eval; ~37 after.
-constexpr double kMaxAllocsPerQuery = 60.0;
+/// On this mix a query makes ~6 allocations: the signature's key and slots,
+/// one copy per answer head and the result vector. The eval, synthesis and
+/// sweep state all live in the engine's pipeline scratch.
+constexpr double kMaxAllocsPerQuery = 8.0;
 
 TEST(ServeAllocTest, InlineQueriesStayUnderTheAllocationBudget) {
   if (!MVDB_ALLOC_COUNTING) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <future>
@@ -363,6 +364,165 @@ TEST(ServeConcurrencyTest, PooledManagersFollowAStructuralDelta) {
     EXPECT_TRUE(BitEqual(executed[i], reference[i])) << "query " << i;
     EXPECT_TRUE(BitEqual(queried[i], reference[i])) << "query " << i;
   }
+}
+
+/// One client thread that keeps a server busy: it submits `queries` in
+/// rounds, waits for each round, and counts the outcomes (and, when
+/// `expected` is non-empty, answers whose bits differ from it).
+class BusyClient {
+ public:
+  BusyClient(Server* server, const std::vector<Ucq>& queries,
+             std::vector<std::vector<AnswerProb>> expected = {})
+      : queries_(queries),
+        expected_(std::move(expected)),
+        thread_([this, server] {
+          while (!stop_.load()) {
+            std::vector<std::future<ServeResult>> round;
+            for (const Ucq& q : queries_) {
+              round.push_back(server->Submit(ServeRequest{q, 0}));
+            }
+            for (size_t i = 0; i < round.size(); ++i) {
+              const ServeResult res = round[i].get();
+              if (!expected_.empty() && res.status.ok() &&
+                  !BitEqual(res.answers, expected_[i])) {
+                mismatched_.fetch_add(1);
+              }
+              (res.status.ok() ? served_ : failed_).fetch_add(1);
+            }
+          }
+        }) {}
+  ~BusyClient() { Stop(); }
+
+  /// Returns once at least one more round has completed.
+  void AwaitRound() const {
+    const size_t target = Done() + queries_.size();
+    while (Done() < target) std::this_thread::yield();
+  }
+  void Stop() {
+    stop_.store(true);
+    if (thread_.joinable()) thread_.join();
+  }
+  size_t failed() const { return failed_.load(); }
+  size_t mismatched() const { return mismatched_.load(); }
+
+ private:
+  size_t Done() const { return served_.load() + failed_.load(); }
+
+  const std::vector<Ucq>& queries_;
+  const std::vector<std::vector<AnswerProb>> expected_;
+  std::atomic<bool> stop_{false};
+  std::atomic<size_t> served_{0}, failed_{0}, mismatched_{0};
+  std::thread thread_;  // last: starts after the counters exist
+};
+
+TEST(ServeConcurrencyTest, StructuralDeltasPauseBeforeTheBaseTableWrites) {
+  // A structural delta appends rows, which drops the table's lazy column
+  // indexes, and view maintenance evaluates over the same tables the
+  // workers probe. All of it must run while the workers are paused. One
+  // client thread keeps a 4-worker server busy with the Fig. 10/11 mix
+  // while five Student inserts go through ApplyDelta, and after each delta
+  // the engine answers the mix beside the server; under TSan any overlap
+  // is a reported race.
+  dblp::DblpConfig cfg;
+  cfg.num_authors = 400;
+  cfg.include_affiliation = true;
+  auto built = dblp::BuildDblpMvdb(cfg, nullptr);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<Mvdb> mvdb = std::move(built).value();
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  const std::vector<Ucq> queries = Fig1011Queries(mvdb.get());
+  const Value fresh = testing_util::FreshAid(mvdb->db());
+
+  ServeOptions opts;
+  opts.num_threads = 4;
+  auto server = engine.Serve(opts);
+  ASSERT_TRUE(server.ok());
+  BusyClient client(server->get(), queries);
+  bool applied = true;
+  for (int k = 0; k < 5 && applied; ++k) {
+    client.AwaitRound();
+    DeltaOp insert;
+    insert.kind = DeltaOp::Kind::kInsert;
+    insert.table = "Student";
+    insert.values = {fresh + k, 2001};
+    insert.weight = 0.8;
+    const Status st = engine.ApplyDelta({insert}, server->get());
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    applied = st.ok();
+    for (const Ucq& q : queries) {
+      auto answers = engine.Query(q);
+      EXPECT_TRUE(answers.ok()) << answers.status().ToString();
+    }
+  }
+  client.AwaitRound();
+  client.Stop();
+  ASSERT_TRUE(applied);
+  EXPECT_EQ(client.failed(), 0u);
+
+  // After the last delta, Submit, Execute and the engine agree bit for bit.
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ServeResult submitted = (*server)->Submit(ServeRequest{queries[i], 0}).get();
+    ASSERT_TRUE(submitted.status.ok()) << submitted.status.ToString();
+    ServeResult executed = (*server)->Execute(ServeRequest{queries[i], 0});
+    ASSERT_TRUE(executed.status.ok()) << executed.status.ToString();
+    auto queried = engine.Query(queries[i]);
+    ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+    EXPECT_FALSE(queried->empty()) << "query " << i;
+    EXPECT_TRUE(BitEqual(submitted.answers, *queried)) << "query " << i;
+    EXPECT_TRUE(BitEqual(executed.answers, *queried)) << "query " << i;
+  }
+}
+
+TEST(ServeConcurrencyTest, InvalidatePlansRewarmsTheTableIndexes) {
+  // The server handshake ApplyDelta relies on: a row appended between
+  // Pause() and Resume() drops the table's lazy column indexes, and
+  // InvalidatePlans() must build them again before Resume(), or a worker
+  // and the engine's own queries build one concurrently (a TSan race).
+  // (ApplyDelta's structural repair happens to rebuild the indexes the
+  // Fig. 10/11 mix probes; this write repairs nothing.) The row is a
+  // deterministic Author under an unused id and name, so every answer
+  // keeps its bits.
+  dblp::DblpConfig cfg;
+  cfg.num_authors = 400;
+  cfg.include_affiliation = true;
+  auto built = dblp::BuildDblpMvdb(cfg, nullptr);
+  ASSERT_TRUE(built.ok());
+  std::unique_ptr<Mvdb> mvdb = std::move(built).value();
+  QueryEngine engine(mvdb.get());
+  ASSERT_TRUE(engine.Compile().ok());
+  const std::vector<Ucq> queries = Fig1011Queries(mvdb.get());
+  std::vector<std::vector<AnswerProb>> expected;
+  for (const Ucq& q : queries) {
+    auto answers = engine.Query(q);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    expected.push_back(std::move(answers).value());
+  }
+  Database& db = mvdb->db();
+  const Value aid = testing_util::FreshAid(db);
+  const Value name = db.Str("author-added-while-paused");
+
+  ServeOptions opts;
+  opts.num_threads = 4;
+  auto server = engine.Serve(opts);
+  ASSERT_TRUE(server.ok());
+  BusyClient client(server->get(), queries, expected);
+  client.AwaitRound();
+  (*server)->Pause();
+  db.InsertDeterministic("Author", {aid, name});
+  (*server)->InvalidatePlans();
+  (*server)->Resume();
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto answers = engine.Query(queries[i]);
+      ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+      EXPECT_TRUE(BitEqual(*answers, expected[i])) << "query " << i;
+    }
+  }
+  client.AwaitRound();
+  client.Stop();
+  EXPECT_EQ(client.failed(), 0u);
+  EXPECT_EQ(client.mismatched(), 0u);
 }
 
 TEST(ServeConcurrencyTest, EngineEqualsServerOnRandomMvdbs) {

@@ -65,10 +65,10 @@ uint64_t HashTranslation(const Mvdb& mvdb) {
       FnvMix(DoubleBits(t.weight), &h);
       FnvMix(static_cast<uint64_t>(t.nv_var), &h);
       FnvMix(t.feature.size(), &h);
-      for (size_t c = 0; c < t.feature.clauses().size(); ++c) {
-        for (VarId v : t.feature.clauses()[c]) FnvMix(static_cast<uint64_t>(v), &h);
+      for (size_t c = 0; c < t.feature.size(); ++c) {
+        for (VarId v : t.feature.pos(c)) FnvMix(static_cast<uint64_t>(v), &h);
         FnvMix(0x5eedULL, &h);
-        for (VarId v : t.feature.neg_clauses()[c]) FnvMix(static_cast<uint64_t>(v), &h);
+        for (VarId v : t.feature.neg(c)) FnvMix(static_cast<uint64_t>(v), &h);
       }
     }
   }
@@ -189,8 +189,7 @@ TEST(TranslationParallelTest, DblpTranslationBitIdenticalAndViewTuplesMatch) {
         ASSERT_EQ(a[j].head, b[j].head) << "view " << i << " tuple " << j;
         ASSERT_EQ(a[j].weight, b[j].weight) << "view " << i << " tuple " << j;
         ASSERT_EQ(a[j].nv_var, b[j].nv_var) << "view " << i << " tuple " << j;
-        ASSERT_EQ(a[j].feature.clauses(), b[j].feature.clauses());
-        ASSERT_EQ(a[j].feature.neg_clauses(), b[j].feature.neg_clauses());
+        ASSERT_EQ(a[j].feature.ToString(), b[j].feature.ToString());
       }
     }
   }
